@@ -7,11 +7,9 @@
 #include <string_view>
 #include <utility>
 
-#include "common/contracts.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "net/shard_exchange.hpp"
-#include "qsim/exec/backend/backend.hpp"
 #include "service/fingerprint.hpp"
 #include "service/json_io.hpp"
 #include "service/limits.hpp"
@@ -261,15 +259,6 @@ HttpResponse SolverDaemon::submit_job(const HttpRequest& request) {
       }
       resolved = service_.matrix_store().get(ref);
       if (!resolved) return matrix_miss_json(ref);
-    }
-    // Execution-backend admission: an unknown or disabled backend is a
-    // schema defect the client hears about synchronously (400 with the
-    // contract message), not a failed job discovered on poll. Binary
-    // frames carry no backend field and always run the service default.
-    try {
-      service_.resolve_backend(service::requested_backend(body));
-    } catch (const contract_violation& e) {
-      return error_json(400, e.what());
     }
     // Capacity admission: when this worker enforces a statevector qubit
     // cap, an obviously-too-wide gate-level job answers 413 here instead
@@ -549,28 +538,6 @@ HttpResponse SolverDaemon::healthz() const {
   Json j = Json::object();
   j["status"] = draining_.load() ? "draining" : "ok";
   j["uptime_seconds"] = uptime_.seconds();
-  // Execution-backend capabilities: what this instance can run and what
-  // it runs by default. The coordinator's prober consumes this for
-  // capability-aware routing; clients render it to pick a backend.
-  j["default_backend"] = options_.service.default_backend;
-  Json backends = Json::array();
-  for (const auto& name : service_.enabled_backends()) {
-    const auto* backend = qsim::exec::find_backend(name);
-    if (backend == nullptr) continue;
-    const auto& caps = backend->capabilities();
-    Json b = Json::object();
-    b["name"] = caps.name;
-    b["description"] = caps.description;
-    Json precisions = Json::array();
-    for (const auto& p : caps.precisions) precisions.push_back(p);
-    b["precisions"] = std::move(precisions);
-    b["max_qubits"] = static_cast<std::uint64_t>(caps.max_qubits);
-    Json widths = Json::array();
-    for (const auto w : caps.panel_widths) widths.push_back(static_cast<std::uint64_t>(w));
-    b["panel_widths"] = std::move(widths);
-    backends.push_back(std::move(b));
-  }
-  j["backends"] = std::move(backends);
   // Distributed-execution posture: the qubit cap that makes this worker
   // reject too-wide jobs (0 = unlimited) and the shard groups currently
   // rendezvousing through this daemon's hub. Coordinators consume the cap
@@ -654,28 +621,6 @@ std::string SolverDaemon::metrics_text() const {
   m.counter("mpqls_precision_switches_total",
             "Tier escalations taken by adaptive-precision solves.",
             stats.precision_switches_total);
-
-  // Per-execution-backend load: which kernel implementation ran what.
-  // Labels are RESOLVED registry names (default-routed jobs land under
-  // the configured default), so series appear once a backend first runs.
-  m.gauge("mpqls_backend_default_info", "1 for the configured default execution backend.",
-          std::uint64_t{1}, {{"backend", options_.service.default_backend}});
-  const auto backend_family = [&m, &stats](const char* name, const char* help, auto pick) {
-    for (const auto& [backend, b] : stats.backends) {
-      m.counter(name, help, pick(b), {{"backend", backend}});
-    }
-  };
-  backend_family("mpqls_backend_jobs_total", "Jobs executed, by execution backend.",
-                 [](const auto& b) { return b.jobs; });
-  backend_family("mpqls_backend_rhs_solved_total",
-                 "Right-hand sides solved, by execution backend.",
-                 [](const auto& b) { return b.rhs_solved; });
-  backend_family("mpqls_backend_replays_total",
-                 "Compiled-program applications (one per QSVT solve), by execution backend.",
-                 [](const auto& b) { return b.replays; });
-  backend_family("mpqls_backend_panels_total",
-                 "Panel sweeps executed, by execution backend.",
-                 [](const auto& b) { return b.panels; });
 
   m.counter("mpqls_cache_hits_total", "Context-cache hits (includes in-flight joins).",
             cache.hits);
@@ -764,7 +709,7 @@ std::string SolverDaemon::metrics_text() const {
             "Amplitude bytes this rank shipped to peers during exchanges.",
             stats.dist.bytes_moved);
   m.counter("mpqls_dist_exchange_seconds_total",
-            "Wall clock this rank spent blocked in peer exchanges.",
+            "Wall clock this rank spent waiting in peer exchanges.",
             stats.dist.exchange_seconds);
   m.counter("mpqls_dist_local_seconds_total",
             "Wall clock this rank spent applying local shard ops.",

@@ -2,6 +2,7 @@
 
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/contracts.hpp"
 
@@ -39,29 +40,13 @@ const ExecBackend* BackendRegistry::find(const std::string& name) const {
   return it == impl_->by_name.end() ? nullptr : impl_->ordered[it->second].get();
 }
 
-std::vector<const ExecBackend*> BackendRegistry::list() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<const ExecBackend*> out;
-  out.reserve(impl_->ordered.size());
-  for (const auto& b : impl_->ordered) out.push_back(b.get());
-  return out;
-}
-
-std::vector<std::string> BackendRegistry::names() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<std::string> out;
-  out.reserve(impl_->ordered.size());
-  for (const auto& b : impl_->ordered) out.push_back(b->capabilities().name);
-  return out;
-}
-
 BackendRegistry& backend_registry() {
-  // Built-ins install inside the same once-guard that builds the registry,
-  // so every caller observes them (no registration/lookup race at startup).
+  // The built-in installs inside the same once-guard that builds the
+  // registry, so every caller observes it (no registration/lookup race at
+  // startup).
   static BackendRegistry* registry = [] {
     auto* r = new BackendRegistry();
     r->register_backend(make_reference_backend());
-    r->register_backend(make_blocked_backend());
     return r;
   }();
   return *registry;

@@ -1,8 +1,11 @@
-// Pluggable execution backends behind the compiled IR. The compiler
+// The execution-backend seam behind the compiled IR. The compiler
 // pipeline (Circuit -> FusedIr -> Program<T>) is backend-agnostic; this
 // interface makes the *last* stage — replaying a Program<T> against a
 // register — a dispatchable seam shaped like the GPU statevector APIs
 // (cuStateVec-style): create a handle, query workspace, apply a program.
+// "reference" is the one backend that ships; the seam is where a test or
+// a metering decorator substitutes its own (register it under the same
+// name before preparing a context).
 //
 // Contract:
 //  * `create_handle()` returns the backend's per-consumer state (plan
@@ -16,20 +19,12 @@
 //    program outlives the handle's use of it (programs are cached inside
 //    a ProgramSet for the context's lifetime), which lets backends key
 //    per-program plans by address.
-//  * `capabilities()` is a static descriptor the service layer surfaces in
-//    /v1/healthz and the cluster coordinator routes on.
-//
-// Adding a backend = subclass ExecBackend, implement the entry points, and
-// register an instance in `register_builtin_backends` (backend.cpp) or via
-// `backend_registry().register_backend(...)` at startup. Nothing above
-// this layer (solver, service, daemon, coordinator) names concrete
-// backends except by string.
+//  * `capabilities()` names the backend; the registry keys on that name.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/program.hpp"
@@ -37,16 +32,9 @@
 
 namespace mpqls::qsim::exec {
 
-/// What a backend can run — the routing/telemetry descriptor. Precisions
-/// use the wire names of the service layer ("half", "single", "double").
+/// The backend's static descriptor: its registry name.
 struct BackendCapabilities {
   std::string name;
-  std::string description;
-  std::vector<std::string> precisions;
-  std::uint32_t max_qubits = 0;
-  /// Panel lane widths with a specialized kernel path; 0 marks support
-  /// for arbitrary runtime widths (the generic lane path).
-  std::vector<std::uint32_t> panel_widths;
 };
 
 /// Opaque per-consumer backend state (plan caches, workspace). Backends
@@ -86,11 +74,11 @@ class ExecBackend {
                                    StatePanel<double>& panel) const = 0;
 };
 
-/// Process-wide backend registry. The built-ins ("reference", "blocked")
-/// self-register on first access; additional backends may be registered at
-/// startup. Lookup is by capability name. Thread-safe; registered backends
-/// live for the process lifetime (raw pointers returned by find/list never
-/// dangle).
+/// Process-wide backend registry. The built-in "reference" backend
+/// self-registers on first access; a replacement may be registered under
+/// its name (or another) at any time. Lookup is by capability name.
+/// Thread-safe; registered backends live for the process lifetime (raw
+/// pointers returned by find never dangle).
 class BackendRegistry {
  public:
   /// Register a backend under its capability name. Re-registering a name
@@ -101,12 +89,6 @@ class BackendRegistry {
   /// nullptr when no backend of that name exists.
   const ExecBackend* find(const std::string& name) const;
 
-  /// Registration-ordered list of every backend.
-  std::vector<const ExecBackend*> list() const;
-
-  /// Registration-ordered list of every backend name.
-  std::vector<std::string> names() const;
-
  private:
   friend BackendRegistry& backend_registry();
   BackendRegistry();
@@ -115,7 +97,7 @@ class BackendRegistry {
   std::shared_ptr<Impl> impl_;
 };
 
-/// The process-wide registry (built-ins installed on first call).
+/// The process-wide registry ("reference" installed on first call).
 BackendRegistry& backend_registry();
 
 /// Name of the backend the stack selects when nothing else is configured.
@@ -124,28 +106,13 @@ inline constexpr const char* kDefaultBackendName = "reference";
 /// Registry lookup shorthand: nullptr when unknown.
 const ExecBackend* find_backend(const std::string& name);
 
-/// The "reference" backend (always registered).
+/// Whatever is registered under kDefaultBackendName right now: the
+/// reference backend unless a test fake or decorator replaced it. Looked
+/// up on every call, so a replacement applies to the next caller.
 const ExecBackend& default_backend();
 
-// Built-in factories (used by the registry; exposed for tests that want a
-// private instance with non-default tuning).
+/// A fresh "reference" backend (what the registry installs at start-up;
+/// register it again to undo a substitution).
 std::shared_ptr<ExecBackend> make_reference_backend();
-
-/// Tuning knobs of the cache-blocked backend; the defaults target an
-/// L1/L2-resident tile on current x86 parts. Exposed so tests and benches
-/// can force specific blocking geometries.
-struct BlockedBackendOptions {
-  /// Per-thread tile scratch budget in bytes (statevector elements only;
-  /// dense-op scratch rides on top). The tile qubit count m is the
-  /// largest m with 2^m amplitudes fitting this budget.
-  std::size_t tile_bytes = std::size_t{1} << 17;  // 128 KiB
-  /// Max high (>= block_bits) target qubits gathered into one tile pass.
-  std::uint32_t max_high_bits = 5;
-  /// Runs shorter than this execute as full-state barriers instead — the
-  /// gather/scatter round trip needs a few ops to amortize.
-  std::uint32_t min_run_ops = 4;
-};
-
-std::shared_ptr<ExecBackend> make_blocked_backend(const BlockedBackendOptions& options = {});
 
 }  // namespace mpqls::qsim::exec

@@ -17,14 +17,6 @@ class ReferenceHandle final : public BackendHandle {};
 
 class ReferenceBackend final : public ExecBackend {
  public:
-  ReferenceBackend() {
-    caps_.name = "reference";
-    caps_.description = "gate-at-a-time OpenMP executor (scalar + lane-templated panel kernels)";
-    caps_.precisions = {"half", "single", "double"};
-    caps_.max_qubits = 30;  // the Statevector/StatePanel register cap
-    caps_.panel_widths = {1, 2, 4, 8, 16, 0};
-  }
-
   const BackendCapabilities& capabilities() const override { return caps_; }
 
   std::shared_ptr<BackendHandle> create_handle() const override {
@@ -60,7 +52,7 @@ class ReferenceBackend final : public ExecBackend {
   }
 
  private:
-  BackendCapabilities caps_;
+  BackendCapabilities caps_{"reference"};
 };
 
 }  // namespace

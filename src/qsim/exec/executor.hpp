@@ -6,10 +6,9 @@
 // can be replayed from many threads onto distinct statevectors, which is
 // how the solver service runs batched right-hand sides.
 //
-// The op bodies live in qsim/exec/kernels.hpp, shared with the pluggable
-// execution backends (qsim/exec/backend/): this class IS the "reference"
-// backend's scalar path, kept as a concrete type for callers that don't
-// need dynamic backend dispatch.
+// The op bodies live in qsim/exec/kernels.hpp. This class IS the
+// "reference" execution backend's scalar path (qsim/exec/backend/), kept
+// as a concrete type for callers that don't need the backend seam.
 #pragma once
 
 #include <complex>

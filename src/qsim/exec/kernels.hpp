@@ -1,14 +1,8 @@
-// The op kernels shared by every CPU execution backend. These are the
-// bodies that used to live as private statics of Executor<T> and
-// PanelExecutor<T>, extracted verbatim so the "reference" backend and the
-// cache-blocked backend replay *literally the same arithmetic* — the
-// blocked executor reuses them on its gathered tile registers (with
-// `allow_parallel = false`, because it already parallelizes over tiles and
-// a nested OpenMP region per op per tile would swamp the tile work).
-//
-// Per-amplitude arithmetic order is identical in both modes; the
-// allow_parallel flag only picks which loop drives the kernel, so results
-// are reproducible across backends for a fixed thread count.
+// The op kernels behind Executor<T> and PanelExecutor<T> (and the dist
+// rank executor): one body per op kind, scalar and lane-templated panel
+// forms. Each kernel enters an OpenMP region only above its kParallel*
+// threshold; the per-amplitude arithmetic order is the same either way, so
+// results are reproducible for a fixed thread count.
 #pragma once
 
 #include <algorithm>
@@ -46,8 +40,7 @@ inline constexpr std::int64_t kParallelAmps = std::int64_t{1} << 14;
 // --- scalar (Statevector<T>) kernels ---------------------------------------
 
 template <typename T>
-void apply_1q(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-              bool allow_parallel = true) {
+void apply_1q(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n) {
   const std::uint64_t bit = op.target_bit;
   const std::int64_t pairs = n >> op.free_shift;
   // Below the lowest re-inserted bit, consecutive loop indices map to
@@ -75,7 +68,7 @@ void apply_1q(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
       p1[2 * l + 1] = m10r * im0 + m10i * re0 + m11r * im1 + m11i * re1;
     }
   };
-  if (allow_parallel && pairs >= kParallelPairs) {
+  if (pairs >= kParallelPairs) {
 #pragma omp parallel for
     for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
   } else {
@@ -85,7 +78,7 @@ void apply_1q(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
 
 template <typename T>
 void apply_dense(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                 std::vector<T>& run_scratch, bool allow_parallel = true) {
+                 std::vector<T>& run_scratch) {
   using complex_type = std::complex<T>;
   const std::uint32_t k = op.num_targets;
   const std::size_t sub_dim = std::size_t{1} << k;
@@ -118,7 +111,7 @@ void apply_dense(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
       amps[base | offsets[r]] = complex_type(acc_re, acc_im);
     }
   };
-  if (allow_parallel && blocks >= kParallelBlocks) {
+  if (blocks >= kParallelBlocks) {
 #pragma omp parallel
     {
       std::vector<T> scratch(2 * sub_dim);
@@ -136,8 +129,7 @@ void apply_dense(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
 }
 
 template <typename T>
-void apply_diagonal(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                    bool allow_parallel = true) {
+void apply_diagonal(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n) {
   const std::uint32_t k = op.num_targets;
   const std::int64_t count = n >> op.free_shift;  // firing amplitudes only
   const std::uint64_t* target_bits = op.target_bits.data();
@@ -150,7 +142,7 @@ void apply_diagonal(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t
     }
     amps[i] *= d[sub];
   };
-  if (allow_parallel && count >= kParallelAmps) {
+  if (count >= kParallelAmps) {
 #pragma omp parallel for
     for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
   } else {
@@ -159,10 +151,9 @@ void apply_diagonal(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t
 }
 
 template <typename T>
-void apply_phase(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                 bool allow_parallel = true) {
+void apply_phase(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n) {
   const std::complex<T> phase = op.phase;
-  if (allow_parallel && n >= kParallelAmps) {
+  if (n >= kParallelAmps) {
 #pragma omp parallel for
     for (std::int64_t i = 0; i < n; ++i) amps[i] *= phase;
   } else {
@@ -173,19 +164,19 @@ void apply_phase(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
 /// One op against a scalar register (the per-op body of Executor::run).
 template <typename T>
 void apply_op(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-              std::vector<T>& dense_scratch, bool allow_parallel = true) {
+              std::vector<T>& dense_scratch) {
   switch (op.kind) {
     case OpKind::kApply1q:
-      apply_1q(op, amps, n, allow_parallel);
+      apply_1q(op, amps, n);
       break;
     case OpKind::kDense:
-      apply_dense(op, amps, n, dense_scratch, allow_parallel);
+      apply_dense(op, amps, n, dense_scratch);
       break;
     case OpKind::kDiagonal:
-      apply_diagonal(op, amps, n, allow_parallel);
+      apply_diagonal(op, amps, n);
       break;
     case OpKind::kGlobalPhase:
-      apply_phase(op, amps, n, allow_parallel);
+      apply_phase(op, amps, n);
       break;
   }
 }
@@ -208,7 +199,7 @@ inline constexpr std::int64_t kParallelAmpWork = std::int64_t{1} << 14;
 
 template <int kLanes, typename T>
 void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                    std::int64_t lanes_rt, bool allow_parallel = true) {
+                    std::int64_t lanes_rt) {
   using C = exec_compute_t<T>;
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::uint64_t bit = op.target_bit;
@@ -243,7 +234,7 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       q1[j] = static_cast<T>(m10r * im0 + m10i * re0 + m11r * im1 + m11i * re1);
     }
   };
-  if (allow_parallel && pairs * lanes >= kParallelPairWork) {
+  if (pairs * lanes >= kParallelPairWork) {
 #pragma omp parallel for
     for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
   } else {
@@ -357,8 +348,7 @@ inline std::size_t panel_dense_scratch_len(std::size_t sub_dim, std::int64_t lan
 
 template <int kLanes, typename T>
 void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                       std::int64_t lanes_rt, std::vector<exec_compute_t<T>>& run_scratch,
-                       bool allow_parallel = true) {
+                       std::int64_t lanes_rt, std::vector<exec_compute_t<T>>& run_scratch) {
   using C = exec_compute_t<T>;
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::size_t sub_dim = std::size_t{1} << op.num_targets;
@@ -381,7 +371,7 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch);
     }
   };
-  if (allow_parallel && blocks * lanes >= kParallelBlockWork) {
+  if (blocks * lanes >= kParallelBlockWork) {
 #pragma omp parallel
     {
       std::vector<C> scratch(scratch_len);
@@ -396,7 +386,7 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 
 template <int kLanes, typename T>
 void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                          std::int64_t lanes_rt, bool allow_parallel = true) {
+                          std::int64_t lanes_rt) {
   using C = exec_compute_t<T>;
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::uint32_t k = op.num_targets;
@@ -419,7 +409,7 @@ void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
       q[l] = static_cast<T>(dr * ai + di * ar);
     }
   };
-  if (allow_parallel && count * lanes >= kParallelAmpWork) {
+  if (count * lanes >= kParallelAmpWork) {
 #pragma omp parallel for
     for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
   } else {
@@ -429,11 +419,11 @@ void panel_apply_diagonal(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 
 template <typename T>
 void panel_apply_phase(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
-                       std::int64_t lanes, bool allow_parallel = true) {
+                       std::int64_t lanes) {
   using C = exec_compute_t<T>;
   const C pr = op.phase.real(), pi = op.phase.imag();
   const std::int64_t total = n * lanes;  // lanes are contiguous: one flat sweep
-  if (allow_parallel && total >= kParallelAmpWork) {
+  if (total >= kParallelAmpWork) {
 #pragma omp parallel for
     for (std::int64_t i = 0; i < total; ++i) {
       const C ar = static_cast<C>(re[i]), ai = static_cast<C>(im[i]);
@@ -453,19 +443,19 @@ void panel_apply_phase(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
 /// One op against a panel (the per-op body of PanelExecutor::run_impl).
 template <int kLanes, typename T>
 void panel_apply_op(const CompiledOp<T>& op, T* re, T* im, std::int64_t n, std::int64_t lanes,
-                    std::vector<exec_compute_t<T>>& dense_scratch, bool allow_parallel = true) {
+                    std::vector<exec_compute_t<T>>& dense_scratch) {
   switch (op.kind) {
     case OpKind::kApply1q:
-      panel_apply_1q<kLanes>(op, re, im, n, lanes, allow_parallel);
+      panel_apply_1q<kLanes>(op, re, im, n, lanes);
       break;
     case OpKind::kDense:
-      panel_apply_dense<kLanes>(op, re, im, n, lanes, dense_scratch, allow_parallel);
+      panel_apply_dense<kLanes>(op, re, im, n, lanes, dense_scratch);
       break;
     case OpKind::kDiagonal:
-      panel_apply_diagonal<kLanes>(op, re, im, n, lanes, allow_parallel);
+      panel_apply_diagonal<kLanes>(op, re, im, n, lanes);
       break;
     case OpKind::kGlobalPhase:
-      panel_apply_phase(op, re, im, n, lanes, allow_parallel);
+      panel_apply_phase(op, re, im, n, lanes);
       break;
   }
 }

@@ -19,9 +19,8 @@
 // so a panel enters a parallel region at 1/B of the scalar executor's
 // register size. Like Executor, the replayer is stateless and reentrant.
 //
-// The op bodies live in qsim/exec/kernels.hpp, shared with the pluggable
-// execution backends (qsim/exec/backend/): this class IS the "reference"
-// backend's panel path.
+// The op bodies live in qsim/exec/kernels.hpp. This class IS the
+// "reference" execution backend's panel path (qsim/exec/backend/).
 #pragma once
 
 #include <cstdint>

@@ -93,13 +93,11 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
   }
 
   if (options.backend == Backend::kGateLevel) {
-    // Resolve the execution backend up front so an unknown name fails at
-    // prepare time (where the service can 400 it), not mid-solve.
-    const std::string backend_name =
-        options.exec_backend.empty() ? qsim::exec::kDefaultBackendName : options.exec_backend;
-    ctx.exec_backend = qsim::exec::find_backend(backend_name);
-    expects(ctx.exec_backend != nullptr, "qsvt solver: unknown execution backend");
-    ctx.backend_handle = ctx.exec_backend->create_handle();
+    // Look the backend up per context, not through a cached static: a
+    // backend registered under the default name (a test fake, a metering
+    // decorator) takes effect for every context prepared after it.
+    ctx.replay_backend = &qsim::exec::default_backend();
+    ctx.backend_handle = ctx.replay_backend->create_handle();
 
     ctx.phases = qsp::solve_symmetric_qsp(ctx.target, options.qsp_options);
     expects(ctx.phases.converged, "qsvt solver: QSP phase finding failed");
@@ -235,7 +233,7 @@ QsvtSolveOutcome run_gate_level(const QsvtSolverContext& ctx,
     if (const auto* program = context_program<T>(ctx)) {
       // Replay through the context's execution backend (reference =
       // exactly the old Executor<T> path, dispatched).
-      ctx.exec_backend->apply_program(*ctx.backend_handle, *program, sv);
+      ctx.replay_backend->apply_program(*ctx.backend_handle, *program, sv);
     } else {
       sv.apply(qc.circuit);
     }
@@ -337,7 +335,7 @@ std::vector<QsvtSolveOutcome> run_gate_level_panel(
     expects(rhs[lane]->size() == N, "qsvt panel: dimension mismatch");
     panel.load_lane_real(lane, normalized(*rhs[lane]));
   }
-  ctx.exec_backend->apply_program_panel(*ctx.backend_handle, *context_program<T>(ctx), panel);
+  ctx.replay_backend->apply_program_panel(*ctx.backend_handle, *context_program<T>(ctx), panel);
 
   // Postselect every lane at once: BE ancillas and signal at |0>, the
   // real-part qubit at |1>. (The scalar path X-flips that qubit so one

@@ -66,13 +66,6 @@ struct QsvtOptions {
   /// shows why NISQ rates break the refinement contraction.
   qsim::NoiseModel noise = {};
   qsp::SymQspOptions qsp_options = {};
-  /// Execution backend replaying the compiled program (a name in
-  /// qsim::exec::backend_registry(); "reference", "blocked", ...). Empty
-  /// selects the process default ("reference"); the service layer resolves
-  /// empty to its configured default before preparing a context. Distinct
-  /// from `backend` above, which picks gate-level vs matrix-function
-  /// *simulation*; this picks the kernel implementation under gate-level.
-  std::string exec_backend;
 };
 
 /// Everything computed once per matrix. After preparation the context is
@@ -99,12 +92,12 @@ struct QsvtSolverContext {
   /// Clean solves never re-interpret the gate list; only noise
   /// trajectories do.
   std::shared_ptr<qsim::exec::ProgramSet> programs;
-  /// The execution backend resolved from options.exec_backend (never null
-  /// for gate-level contexts) and its per-context handle. The handle owns
-  /// backend state scoped to this context — e.g. the blocked backend's
-  /// per-program tile plans — and is internally synchronized, preserving
-  /// the shared-const concurrency contract.
-  const qsim::exec::ExecBackend* exec_backend = nullptr;
+  /// The execution backend registered as "reference" when the context was
+  /// prepared (never null for gate-level contexts) and its per-context
+  /// handle. The handle owns backend state scoped to this context and is
+  /// internally synchronized, preserving the shared-const concurrency
+  /// contract.
+  const qsim::exec::ExecBackend* replay_backend = nullptr;
   std::shared_ptr<qsim::exec::BackendHandle> backend_handle;
   /// Gate count of SP(rhs) for this register size. The KP-tree circuit's
   /// structure depends only on the vector length, so it is counted once

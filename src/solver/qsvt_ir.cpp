@@ -1,6 +1,7 @@
 #include "solver/qsvt_ir.hpp"
 
 #include <cmath>
+#include <functional>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
@@ -191,6 +192,23 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
 
   qsvt::PanelExecStats pstats;
 
+  // Algorithm 2's one QPU entry point, chosen once: this rank's shard of
+  // the register when the job is distributed, the local panel path
+  // otherwise. Either way a batch of right-hand sides goes in and one
+  // outcome per RHS comes back at the requested tier.
+  using DirectionBatch = std::vector<const linalg::Vector<double>*>;
+  std::function<std::vector<qsvt::QsvtSolveOutcome>(const DirectionBatch&, int)>
+      solve_directions;
+  if (options.dist) {
+    solve_directions = [&](const DirectionBatch& batch, int tier) {
+      return options.dist->solve_directions(ctx, batch, tier_precision(tier));
+    };
+  } else {
+    solve_directions = [&](const DirectionBatch& batch, int tier) {
+      return qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(tier));
+    };
+  }
+
   // --- First solve on every lane: x_0 = mu_0 * eta_0, one panel sweep ---
   // All lanes share the initial tier, so this is a single tier group.
   {
@@ -198,13 +216,10 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
     replay_span.attr("round", std::uint64_t{0});
     replay_span.attr("tier", tier_name(initial_tier));
     replay_span.attr("lanes", static_cast<std::uint64_t>(lanes.size()));
-    std::vector<const linalg::Vector<double>*> batch;
+    DirectionBatch batch;
     batch.reserve(lanes.size());
     for (const Lane& lane : lanes) batch.push_back(lane.b);
-    const auto outcomes =
-        options.dist
-            ? options.dist->solve_directions(ctx, batch, tier_precision(initial_tier))
-            : qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(initial_tier));
+    const auto outcomes = solve_directions(batch, initial_tier);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       Lane& lane = lanes[l];
       const auto& outcome = outcomes[l];
@@ -292,7 +307,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
       replay_span.attr("lanes", static_cast<std::uint64_t>(group.size()));
       const std::uint64_t switches_before = replay_span ? group_switches(group) : 0;
 
-      std::vector<const linalg::Vector<double>*> batch;
+      DirectionBatch batch;
       batch.reserve(group.size());
       for (const std::size_t l : group) {
         Lane& lane = lanes[l];
@@ -302,10 +317,7 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
                              hybrid::vector_wire_bytes(n), lane.it);
         batch.push_back(&lane.r);
       }
-      const auto outcomes =
-          options.dist
-              ? options.dist->solve_directions(ctx, batch, tier_precision(tier))
-              : qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(tier));
+      const auto outcomes = solve_directions(batch, tier);
       for (std::size_t k = 0; k < group.size(); ++k) {
         Lane& lane = lanes[group[k]];
         const auto& outcome = outcomes[k];

@@ -80,9 +80,11 @@ class WireWriter {
     return *this;
   }
 
-  /// u64 count + raw little-endian doubles (bulk copy on LE hosts).
+  /// u64 count + raw little-endian doubles (bulk copy on LE hosts). An
+  /// empty array's data pointer may be null, which memcpy must not see.
   WireWriter& f64_array(const double* data, std::size_t count) {
     u64(count);
+    if (count == 0) return *this;
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t at = buf_.size();
       buf_.resize(at + count * sizeof(double));
@@ -153,6 +155,7 @@ class WireReader {
   /// frame remainder).
   void read_bytes(char* out, std::size_t count) {
     need(count, "truncated byte block");
+    if (count == 0) return;  // `out` may be null for an empty block
     std::memcpy(out, data_.data() + off_, count);
     off_ += count;
   }
@@ -161,6 +164,7 @@ class WireReader {
   /// where rows*cols was already bounds-checked).
   void read_doubles(double* out, std::size_t count) {
     need(count * sizeof(double), "truncated f64 block");
+    if (count == 0) return;  // `out` may be null for an empty array
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out, data_.data() + off_, count * sizeof(double));
       off_ += count * sizeof(double);

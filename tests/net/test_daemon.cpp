@@ -529,79 +529,5 @@ TEST(SolverDaemon, ListingIsBoundedNewestFirstWithQueryLimit) {
   daemon.drain(5000ms);
 }
 
-TEST(SolverDaemon, HealthzAdvertisesBackendCapabilities) {
-  SolverDaemon daemon(loopback_options());
-  daemon.start();
-  HttpClient client("127.0.0.1", daemon.port());
-
-  const auto health = Json::parse(client.get("/v1/healthz").body);
-  EXPECT_EQ(health.at("default_backend").as_string(), "reference");
-  const auto& backends = health.at("backends").as_array();
-  std::set<std::string> names;
-  for (const auto& b : backends) {
-    names.insert(b.at("name").as_string());
-    // Every advertised backend carries a full capability descriptor.
-    EXPECT_FALSE(b.at("precisions").as_array().empty()) << b.at("name").as_string();
-    EXPECT_FALSE(b.at("panel_widths").as_array().empty()) << b.at("name").as_string();
-    EXPECT_GT(b.at("max_qubits").as_number(), 0.0);
-  }
-  EXPECT_TRUE(names.count("reference")) << "built-in reference backend missing";
-  EXPECT_TRUE(names.count("blocked")) << "built-in blocked backend missing";
-  daemon.drain(5000ms);
-}
-
-TEST(SolverDaemon, UnknownBackendIsRejectedSynchronouslyWith400) {
-  SolverDaemon daemon(loopback_options());
-  daemon.start();
-  HttpClient client("127.0.0.1", daemon.port());
-
-  // Top-level short-form override.
-  constexpr const char* kUnknownBackend = R"({
-    "id": "bad-backend",
-    "backend": "imaginary-gpu",
-    "matrix": {"scenario": "poisson1d", "n": 8},
-    "rhs": {"kind": "random", "count": 1, "seed": 3},
-    "options": {"eps": 1e-9, "qsvt": {"backend": "matrix", "eps_l": 1e-2}}
-  })";
-  auto response = client.post("/v1/jobs", kUnknownBackend);
-  EXPECT_EQ(response.status, 400);
-  EXPECT_NE(response.body.find("unknown execution backend"), std::string::npos)
-      << response.body;
-
-  // Long-form options.qsvt.exec_backend takes the same admission path.
-  constexpr const char* kUnknownExecBackend = R"({
-    "id": "bad-exec-backend",
-    "matrix": {"scenario": "poisson1d", "n": 8},
-    "rhs": {"kind": "random", "count": 1, "seed": 3},
-    "options": {"eps": 1e-9,
-                "qsvt": {"backend": "gate", "eps_l": 1e-2,
-                         "exec_backend": "imaginary-gpu"}}
-  })";
-  response = client.post("/v1/jobs", kUnknownExecBackend);
-  EXPECT_EQ(response.status, 400);
-  EXPECT_NE(response.body.find("unknown execution backend"), std::string::npos)
-      << response.body;
-
-  // A known backend sails through admission, runs the job on the blocked
-  // executor, and the per-backend metric families pick it up.
-  constexpr const char* kBlockedJob = R"({
-    "id": "blocked-backend",
-    "backend": "blocked",
-    "matrix": {"scenario": "poisson1d", "n": 8},
-    "rhs": {"kind": "random", "count": 1, "seed": 3},
-    "options": {"eps": 1e-9, "qsvt": {"backend": "gate", "eps_l": 1e-2}}
-  })";
-  const auto status = poll_until_terminal(client, submit(client, kBlockedJob));
-  EXPECT_EQ(status.at("state").as_string(), "done") << status.dump();
-
-  const std::string metrics = client.get("/v1/metrics").body;
-  EXPECT_NE(metrics.find("mpqls_backend_jobs_total{backend=\"blocked\"} 1"),
-            std::string::npos)
-      << metrics;
-  EXPECT_NE(metrics.find("mpqls_backend_default_info{backend=\"reference\"} 1"),
-            std::string::npos);
-  daemon.drain(5000ms);
-}
-
 }  // namespace
 }  // namespace mpqls::net

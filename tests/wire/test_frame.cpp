@@ -242,6 +242,20 @@ TEST(WirePrimitives, IntegersStringsAndArraysRoundTrip) {
   EXPECT_NO_THROW(r.expect_done());
 }
 
+TEST(WirePrimitives, EmptyF64ArrayRoundTrips) {
+  // An empty vector's data() may be null; neither side may hand it to
+  // memcpy (UBSan flags a null memcpy argument even at length 0).
+  const std::vector<double> empty;
+  WireWriter w;
+  w.f64_array(empty.data(), empty.size());
+  const std::string buf = w.take();
+  WireReader r(buf);
+  std::vector<double> back = {1.0};
+  r.f64_array(back, 16);
+  EXPECT_TRUE(back.empty());
+  EXPECT_NO_THROW(r.expect_done());
+}
+
 TEST(WirePrimitives, ReadsAreBoundsCheckedAndCapped) {
   {
     WireReader r(std::string_view("\x01", 1));
@@ -491,6 +505,14 @@ TEST(WireResult, RoundTripsAndMatchesJsonCodec) {
 
   const auto via_json = service::result_from_json(service::to_json(result));
   expect_result_eq(decoded, via_json);
+}
+
+TEST(WireResult, EmptyScaledResidualsRoundTrip) {
+  auto result = sample_result();
+  result.solves[0].report.scaled_residuals.clear();
+  const auto decoded = decode_result(encode_result(result));
+  expect_result_eq(result, decoded);
+  EXPECT_TRUE(decoded.solves[0].report.scaled_residuals.empty());
 }
 
 TEST(WireResult, TruncationThrowsNotCrashes) {
