@@ -116,8 +116,11 @@ struct SpanView {
 /// recorded.
 class Trace {
  public:
-  explicit Trace(TraceId id, std::size_t capacity = kDefaultSpanCapacity)
-      : id_(id), epoch_(std::chrono::steady_clock::now()), slots_(capacity) {}
+  /// `epoch` is time zero of the trace's spans: by default its creation,
+  /// earlier when a job's first span began before its trace id was known.
+  explicit Trace(TraceId id, std::size_t capacity = kDefaultSpanCapacity,
+                 std::chrono::steady_clock::time_point epoch = std::chrono::steady_clock::now())
+      : id_(id), epoch_(epoch), slots_(capacity) {}
 
   const TraceId& id() const { return id_; }
 
@@ -132,6 +135,12 @@ class Trace {
   /// Start a span. Returns its id, or 0 if the buffer is full (the span
   /// is counted in `dropped()` and `end_span(0, ...)` is a no-op).
   std::uint64_t begin_span(std::string_view name, std::uint64_t parent = 0) {
+    return begin_span_at(name, now_ns(), parent);
+  }
+
+  /// `begin_span` with an explicit start time on this trace's clock.
+  std::uint64_t begin_span_at(std::string_view name, std::uint64_t start_ns,
+                              std::uint64_t parent = 0) {
     const std::size_t slot = claimed_.fetch_add(1, std::memory_order_relaxed);
     if (slot >= slots_.size()) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -140,7 +149,7 @@ class Trace {
     Slot& s = slots_[slot];
     s.parent = parent;
     s.name.assign(name);
-    s.start_ns = now_ns();
+    s.start_ns = start_ns;
     s.open.store(true, std::memory_order_release);
     return slot + 1;
   }
@@ -207,8 +216,10 @@ class Trace {
 /// job; every recording helper no-ops on a null context.
 using TraceContext = std::shared_ptr<Trace>;
 
-inline TraceContext make_trace(TraceId id = {}, std::size_t capacity = kDefaultSpanCapacity) {
-  return std::make_shared<Trace>(id.zero() ? mint_trace_id() : id, capacity);
+inline TraceContext make_trace(
+    TraceId id = {}, std::size_t capacity = kDefaultSpanCapacity,
+    std::chrono::steady_clock::time_point epoch = std::chrono::steady_clock::now()) {
+  return std::make_shared<Trace>(id.zero() ? mint_trace_id() : id, capacity, epoch);
 }
 
 /// RAII span: begins on construction, ends (with any attached attrs)
@@ -220,6 +231,10 @@ class ScopedSpan {
   ScopedSpan() = default;
   ScopedSpan(const TraceContext& trace, std::string_view name, std::uint64_t parent = 0)
       : trace_(trace), id_(trace_ ? trace_->begin_span(name, parent) : 0) {}
+  /// A span that began at `start_ns` on the trace's clock.
+  ScopedSpan(const TraceContext& trace, std::string_view name, std::uint64_t parent,
+             std::uint64_t start_ns)
+      : trace_(trace), id_(trace_ ? trace_->begin_span_at(name, start_ns, parent) : 0) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

@@ -191,6 +191,7 @@ bool SolverDaemon::drain(std::chrono::milliseconds grace) {
 HttpResponse SolverDaemon::handle(const HttpRequest& request) { return router_.dispatch(request); }
 
 HttpResponse SolverDaemon::submit_job(const HttpRequest& request) {
+  const auto entry = std::chrono::steady_clock::now();
   const Timer admission_timer;
   if (draining_.load()) return error_json(503, "daemon is draining; job admission closed");
 
@@ -293,16 +294,14 @@ HttpResponse SolverDaemon::submit_job(const HttpRequest& request) {
     };
   }
 
-  // The job's span buffer, minted (or adopted) here at the front door so
-  // the admission span is the first entry every trace shares. The parse
-  // and store-probe work above is cheap enough that folding it into the
-  // span would not change its shape; the admission HISTOGRAM does cover
-  // it (admission_timer spans the whole handler).
-  auto trace_ctx = trace::make_trace(trace_id);
-  {
-    trace::ScopedSpan admission_span(trace_ctx, "admission");
-    admission_span.attr("encoding", encoding == BodyEncoding::kFrame ? "binary" : "json");
-  }
+  // The job's span buffer, minted (or adopted) here at the front door now
+  // that the trace id is known. Its clock starts at handler entry, so the
+  // admission span — the first entry every trace shares — covers the
+  // whole handler: the parse or frame peek, the trace adoption and the
+  // store probe above, and the submit below.
+  auto trace_ctx = trace::make_trace(trace_id, trace::kDefaultSpanCapacity, entry);
+  trace::ScopedSpan admission_span(trace_ctx, "admission", /*parent=*/0, /*start_ns=*/0);
+  admission_span.attr("encoding", encoding == BodyEncoding::kFrame ? "binary" : "json");
 
   // The render callback also runs on the worker, so a terminal result is
   // serialized exactly once no matter how often it is polled.
@@ -310,6 +309,7 @@ HttpResponse SolverDaemon::submit_job(const HttpRequest& request) {
       std::move(make_request),
       [](const service::SolveResult& result) { return service::to_json(result).dump(); },
       trace_ctx);
+  admission_span.finish();
   if (!job_id) {
     HttpResponse r = error_json(429, "job queue full; retry later");
     r.headers.emplace_back("Retry-After", "1");

@@ -23,10 +23,11 @@ class ReferenceBackend final : public ExecBackend {
     return std::make_shared<ReferenceHandle>();
   }
 
-  std::size_t workspace_bytes(std::uint32_t /*num_qubits*/) const override {
-    // Per-thread dense scratch only: two split planes of the widest fused
-    // window (<= 2^3 sub-amplitudes by default compile options) in double.
-    return 2 * (std::size_t{1} << 3) * sizeof(double);
+  std::size_t workspace_bytes(std::uint32_t num_qubits) const override {
+    // Per-thread dense scratch only: two split double planes of the widest
+    // dense op, which is not bounded by the fusion window (the QSVT block
+    // encoding is one op on 2^7 sub-amplitudes) — only by the register.
+    return 2 * (std::size_t{1} << num_qubits) * sizeof(double);
   }
 
   void apply_program(BackendHandle&, const Program<float>& program,

@@ -7,11 +7,16 @@
 #pragma once
 
 #include <atomic>
+#include <complex>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/hash.hpp"
 #include "common/timer.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/program.hpp"
@@ -31,11 +36,76 @@ struct CompileOptions {
 /// and fuse neighbours. Deterministic; no precision loss (all double).
 FusedIr lower_and_fuse(const Circuit& circuit, const CompileOptions& options = {});
 
+/// Interned op payloads of one precision tier. A QSVT program applies the
+/// same block-encoding matrix hundreds of times; interning stores each
+/// distinct payload once, and every op whose kind, target count and rounded
+/// payload values (bit for bit) match an earlier op's shares its storage.
+/// One table may serve several `specialize` calls (a rank's steps share
+/// one).
+template <typename T>
+class PayloadTable {
+ public:
+  using C = exec_compute_t<T>;
+
+  /// Point `op`'s payload views at the interned copy of `values`.
+  void intern(CompiledOp<T>& op, std::vector<std::complex<C>> values) {
+    const std::uint64_t key = digest(op, values);
+    const auto [first, last] = entries_.equal_range(key);
+    for (auto it = first; it != last; ++it) {
+      const CompiledOp<T>& e = it->second;
+      if (e.kind == op.kind && e.num_targets == op.num_targets &&
+          e.payload.size() == values.size() &&
+          std::memcmp(e.payload.data(), values.data(), values.size() * sizeof(values[0])) == 0) {
+        op.payload = e.payload;
+        op.payload_re = e.payload_re;
+        op.payload_im = e.payload_im;
+        return;
+      }
+    }
+    if (op.kind == OpKind::kDense) {
+      // The matrix split into real/imaginary planes for the SIMD kernels.
+      std::vector<C> re, im;
+      re.reserve(values.size());
+      im.reserve(values.size());
+      for (const auto& v : values) {
+        re.push_back(v.real());
+        im.push_back(v.imag());
+      }
+      op.payload_re = SharedArray<C>(std::move(re));
+      op.payload_im = SharedArray<C>(std::move(im));
+    }
+    op.payload = SharedArray<std::complex<C>>(std::move(values));
+    entries_.emplace(key, op);
+  }
+
+ private:
+  /// Kind, target count and size, then every 64-bit word of a short
+  /// payload or an even sample of 64 words of a long one — the full
+  /// compare in `intern` settles a match either way.
+  static std::uint64_t digest(const CompiledOp<T>& op, const std::vector<std::complex<C>>& values) {
+    Fnv1a h;
+    h.u64(static_cast<std::uint64_t>(op.kind)).u64(op.num_targets).u64(values.size());
+    const std::size_t words = values.size() * sizeof(values[0]) / sizeof(std::uint64_t);
+    const std::size_t stride = words > 64 ? words / 64 : 1;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+    for (std::size_t w = 0; w < words; w += stride) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + w * sizeof word, sizeof word);
+      h.u64(word);
+    }
+    return h.digest();
+  }
+
+  /// The first op that carried each payload, by digest.
+  std::unordered_multimap<std::uint64_t, CompiledOp<T>> entries_;
+};
+
 /// Pass 3: round payloads to the *storage* precision T (then hold them in
 /// the compute precision — identity for float/double, binary16-round-then-
-/// widen-to-float for the f16 tier) and precompute per-op tables.
+/// widen-to-float for the f16 tier), intern them in `table` and precompute
+/// per-op tables.
 template <typename T>
-Program<T> specialize(const FusedIr& ir) {
+Program<T> specialize(const FusedIr& ir, PayloadTable<T>& table) {
   using C = exec_compute_t<T>;
   // Model the QPU storing this value at precision T.
   const auto qround = [](double v) { return static_cast<C>(static_cast<T>(v)); };
@@ -78,10 +148,10 @@ Program<T> specialize(const FusedIr& ir) {
           c.target_bits.push_back(bit);
           c.target_mask |= bit;
         }
-        c.payload.reserve(op.payload.size());
-        for (const auto& v : op.payload) {
-          c.payload.emplace_back(qround(v.real()), qround(v.imag()));
-        }
+        std::vector<std::complex<C>> values;
+        values.reserve(op.payload.size());
+        for (const auto& v : op.payload) values.emplace_back(qround(v.real()), qround(v.imag()));
+        table.intern(c, std::move(values));
         if (op.kind == OpKind::kDense) {
           // Gather offsets: sub-state s lives at base | offsets[s].
           const std::size_t sub_dim = std::size_t{1} << c.num_targets;
@@ -93,12 +163,6 @@ Program<T> specialize(const FusedIr& ir) {
             }
             c.offsets[s] = off;
           }
-          c.payload_re.reserve(c.payload.size());
-          c.payload_im.reserve(c.payload.size());
-          for (const auto& v : c.payload) {
-            c.payload_re.push_back(v.real());
-            c.payload_im.push_back(v.imag());
-          }
         }
         break;
       }
@@ -106,6 +170,13 @@ Program<T> specialize(const FusedIr& ir) {
     program.ops.push_back(std::move(c));
   }
   return program;
+}
+
+/// Pass 3 with a table of its own: payloads are shared within `ir` only.
+template <typename T>
+Program<T> specialize(const FusedIr& ir) {
+  PayloadTable<T> table;
+  return specialize<T>(ir, table);
 }
 
 /// Lower, fuse and specialize in one step.

@@ -139,7 +139,8 @@ RankPlan build_rank_plan(const ExchangePlan& plan, std::uint32_t rank);
 
 /// RankPlan specialized to a statevector precision (exec::specialize, the
 /// same pass single-node programs go through — op payloads round
-/// identically).
+/// identically). All steps of a rank intern their payloads in one table,
+/// so a matrix the rank applies at many steps is stored once.
 template <typename T>
 struct RankStep {
   Program<T> local;
@@ -167,14 +168,15 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
   out.world_log2 = rp.world_log2;
   out.rank = rp.rank;
   out.steps.reserve(rp.steps.size());
+  PayloadTable<T> payloads;
   for (const auto& step : rp.steps) {
     RankStep<T> s;
-    s.local = specialize<T>(step.local);
+    s.local = specialize<T>(step.local, payloads);
     if (step.exchange) {
       s.has_exchange = true;
       s.fires = step.exchange->fires;
       s.peer_bits = step.exchange->peer_bits;
-      s.wide = specialize<T>(step.exchange->wide);
+      s.wide = specialize<T>(step.exchange->wide, payloads);
     }
     out.steps.push_back(std::move(s));
   }

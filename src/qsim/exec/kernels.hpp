@@ -1,8 +1,18 @@
-// The op kernels behind Executor<T> and PanelExecutor<T> (and the dist
-// rank executor): one body per op kind, scalar and lane-templated panel
-// forms. Each kernel enters an OpenMP region only above its kParallel*
-// threshold; the per-amplitude arithmetic order is the same either way, so
-// results are reproducible for a fixed thread count.
+// The op kernels behind Executor<T>, PanelExecutor<T> and the dist rank
+// executor, in two families over the same Program<T>: scalar kernels on an
+// interleaved std::complex<T> register, and panel kernels on split re/im
+// planes with the lane index innermost (lane count a template parameter,
+// 0 = runtime width). One body per op kind, except the panel dense op,
+// which has three by shape:
+//  * <= 3 targets (the fused windows): fully unrolled sub-dimension;
+//  * wider (the block encoding), two or more lanes, and every op at a
+//    runtime width: register tiles of matrix rows x lanes;
+//  * wider, one lane: a row dot product, the scalar `apply_dense` form.
+// The first two sum each lane in the same order with the same expression,
+// so a lane's result is bitwise independent of the panel width (>= 2).
+// Each kernel enters an OpenMP region only above its kParallel* threshold
+// and splits over amplitudes or blocks, never inside one amplitude's sum,
+// so the threading never changes a result.
 #pragma once
 
 #include <algorithm>
@@ -242,10 +252,11 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   }
 }
 
-/// Dense block kernel for compile-time lane count AND sub-dimension:
-/// the r/s loops fully unroll and the row accumulators are fixed-size
-/// locals (registers, not scratch memory — a heap accumulator would
-/// alias the gathered sub-panel and force a reload/spill per multiply).
+/// Dense block kernel for compile-time lane count AND sub-dimension (the
+/// fused windows, <= 3 targets): the r/s loops fully unroll and the row
+/// accumulators are fixed-size locals (registers, not scratch memory — a
+/// heap accumulator would alias the gathered sub-panel and force a
+/// reload/spill per multiply).
 template <int kLanes, int kSub, typename T>
 void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restrict__ im,
                        std::int64_t bb, exec_compute_t<T>* __restrict__ sre,
@@ -289,61 +300,104 @@ void panel_dense_block(const CompiledOp<T>& op, T* __restrict__ re, T* __restric
   }
 }
 
-/// Generic-width dense block (runtime lane count; accumulators live at
-/// the end of the scratch buffer).
+/// Gather the sub-panel at `base` into split compute-precision planes,
+/// row s at `s * ld` (ld >= lanes); lanes [lanes, ld) of every row are
+/// zeroed so a tile may read them.
 template <typename T>
-void panel_dense_block_generic(const CompiledOp<T>& op, T* re, T* im, std::size_t sub_dim,
-                               std::int64_t lanes, std::int64_t bb, exec_compute_t<T>* scratch) {
+void panel_gather_sub(const CompiledOp<T>& op, const T* re, const T* im, std::uint64_t base,
+                      std::int64_t lanes, std::int64_t ld, exec_compute_t<T>* __restrict__ sre,
+                      exec_compute_t<T>* __restrict__ sim) {
   using C = exec_compute_t<T>;
-  const std::uint64_t* offsets = op.offsets.data();
-  const C* mre = op.payload_re.data();
-  const C* mim = op.payload_im.data();
-  C* sre = scratch;
-  C* sim = scratch + sub_dim * static_cast<std::size_t>(lanes);
-  C* acc_re = scratch + 2 * sub_dim * static_cast<std::size_t>(lanes);
-  C* acc_im = acc_re + lanes;
-  const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
+  const std::size_t sub_dim = std::size_t{1} << op.num_targets;
   for (std::size_t s = 0; s < sub_dim; ++s) {
-    const std::int64_t src = static_cast<std::int64_t>(base | offsets[s]) * lanes;
-    C* row_re = sre + s * static_cast<std::size_t>(lanes);
-    C* row_im = sim + s * static_cast<std::size_t>(lanes);
+    const std::int64_t src = static_cast<std::int64_t>(base | op.offsets[s]) * lanes;
+    C* row_re = sre + s * static_cast<std::size_t>(ld);
+    C* row_im = sim + s * static_cast<std::size_t>(ld);
 #pragma omp simd
     for (std::int64_t l = 0; l < lanes; ++l) {
       row_re[l] = static_cast<C>(re[src + l]);
       row_im[l] = static_cast<C>(im[src + l]);
     }
+    for (std::int64_t l = lanes; l < ld; ++l) row_re[l] = row_im[l] = C{};
   }
-  for (std::size_t r = 0; r < sub_dim; ++r) {
-    const C* rre = mre + r * sub_dim;
-    const C* rim = mim + r * sub_dim;
-    for (std::int64_t l = 0; l < lanes; ++l) {
-      acc_re[l] = C{};
-      acc_im[l] = C{};
-    }
-    for (std::size_t s = 0; s < sub_dim; ++s) {
-      const C mr = rre[s], mi = rim[s];
-      const C* xr = sre + s * static_cast<std::size_t>(lanes);
-      const C* xi = sim + s * static_cast<std::size_t>(lanes);
+}
+
+/// Matrix rows one register tile keeps in flight: kTileRows x kW lanes of
+/// real and imaginary float accumulators fill half the AVX2 register file
+/// at 8 and 16 lanes, leaving the rest for the gathered lanes. Double uses
+/// the same tile; halving its rows measured no faster.
+template <int kW>
+inline constexpr int kTileRows = kW >= 16 ? 2 : 4;
+
+/// Lane chunk the runtime-width dense kernel computes in (the gather pads
+/// the lane count to a multiple of it).
+inline constexpr int kDenseChunk = 8;
+
+/// Register-tiled dense block (wide ops at compile-time widths >= 2, every
+/// op at a runtime width): each tile holds kRows matrix rows x kW lanes in
+/// local accumulators, the s loop runs inside the tile and the lane loop
+/// is innermost. Lanes are computed in chunks of kW from the gathered
+/// sub-panel (row stride ld); each lane sums s in ascending order with the
+/// same expression as `panel_dense_block`, so a lane's result does not
+/// depend on the panel width or the tile shape.
+template <int kW, int kRows, typename T>
+void panel_dense_tiled(const CompiledOp<T>& op, T* __restrict__ re, T* __restrict__ im,
+                       std::uint64_t base, std::int64_t lanes, std::int64_t ld,
+                       const exec_compute_t<T>* __restrict__ sre,
+                       const exec_compute_t<T>* __restrict__ sim) {
+  using C = exec_compute_t<T>;
+  const std::size_t sub_dim = std::size_t{1} << op.num_targets;
+  const C* __restrict__ mre = op.payload_re.data();
+  const C* __restrict__ mim = op.payload_im.data();
+  for (std::int64_t l0 = 0; l0 < lanes; l0 += kW) {
+    const std::int64_t width = std::min<std::int64_t>(kW, lanes - l0);
+    for (std::size_t r0 = 0; r0 < sub_dim; r0 += kRows) {
+      C acc_re[kRows][kW] = {};
+      C acc_im[kRows][kW] = {};
+      for (std::size_t s = 0; s < sub_dim; ++s) {
+        const C* __restrict__ xr = sre + s * static_cast<std::size_t>(ld) + l0;
+        const C* __restrict__ xi = sim + s * static_cast<std::size_t>(ld) + l0;
+        for (int i = 0; i < kRows; ++i) {
+          const C mr = mre[(r0 + i) * sub_dim + s], mi = mim[(r0 + i) * sub_dim + s];
 #pragma omp simd
-      for (std::int64_t l = 0; l < lanes; ++l) {
-        acc_re[l] += mr * xr[l] - mi * xi[l];
-        acc_im[l] += mr * xi[l] + mi * xr[l];
+          for (int l = 0; l < kW; ++l) {
+            acc_re[i][l] += mr * xr[l] - mi * xi[l];
+            acc_im[i][l] += mr * xi[l] + mi * xr[l];
+          }
+        }
       }
-    }
-    const std::int64_t dst = static_cast<std::int64_t>(base | offsets[r]) * lanes;
-#pragma omp simd
-    for (std::int64_t l = 0; l < lanes; ++l) {
-      re[dst + l] = static_cast<T>(acc_re[l]);
-      im[dst + l] = static_cast<T>(acc_im[l]);
+      for (int i = 0; i < kRows; ++i) {
+        const std::int64_t dst = static_cast<std::int64_t>(base | op.offsets[r0 + i]) * lanes + l0;
+        for (std::int64_t l = 0; l < width; ++l) {
+          re[dst + l] = static_cast<T>(acc_re[i][l]);
+          im[dst + l] = static_cast<T>(acc_im[i][l]);
+        }
+      }
     }
   }
 }
 
-/// Scratch length (in exec_compute_t<T> elements) one dense panel op of
-/// sub-dimension `sub_dim` needs at `lanes` lanes: the gathered sub-panel
-/// in split planes plus one accumulator row for the generic path.
-inline std::size_t panel_dense_scratch_len(std::size_t sub_dim, std::int64_t lanes) {
-  return (2 * sub_dim + 2) * static_cast<std::size_t>(lanes);
+/// Wide dense block at one lane: a row dot product with an `omp simd`
+/// reduction over s — the arithmetic form of the scalar `apply_dense`.
+template <typename T>
+void panel_dense_dot(const CompiledOp<T>& op, T* re, T* im, std::uint64_t base,
+                     const exec_compute_t<T>* __restrict__ sre,
+                     const exec_compute_t<T>* __restrict__ sim) {
+  using C = exec_compute_t<T>;
+  const std::size_t sub_dim = std::size_t{1} << op.num_targets;
+  for (std::size_t r = 0; r < sub_dim; ++r) {
+    const C* __restrict__ rre = op.payload_re.data() + r * sub_dim;
+    const C* __restrict__ rim = op.payload_im.data() + r * sub_dim;
+    C acc_re{}, acc_im{};
+#pragma omp simd reduction(+ : acc_re, acc_im)
+    for (std::size_t s = 0; s < sub_dim; ++s) {
+      acc_re += rre[s] * sre[s] - rim[s] * sim[s];
+      acc_im += rre[s] * sim[s] + rim[s] * sre[s];
+    }
+    const std::uint64_t dst = base | op.offsets[r];
+    re[dst] = static_cast<T>(acc_re);
+    im[dst] = static_cast<T>(acc_im);
+  }
 }
 
 template <int kLanes, typename T>
@@ -353,22 +407,32 @@ void panel_apply_dense(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::size_t sub_dim = std::size_t{1} << op.num_targets;
   const std::int64_t blocks = n >> op.free_shift;
-  // Gathered sub-panel in split planes ([sub_dim][lanes] re then im);
-  // the generic path also keeps one accumulator row here.
-  const std::size_t scratch_len = panel_dense_scratch_len(sub_dim, lanes);
-  auto block_kernel = [&](std::int64_t bb, C* scratch) {
+  // Gathered sub-panel in split planes ([sub_dim][ld] re then im); a
+  // runtime width pads its rows to whole kDenseChunk tiles.
+  const std::int64_t ld =
+      kLanes > 0 ? kLanes : (lanes + kDenseChunk - 1) / kDenseChunk * kDenseChunk;
+  const std::size_t scratch_len = 2 * sub_dim * static_cast<std::size_t>(ld);
+  auto block_kernel = [&](std::int64_t bb, C* sre) {
+    C* sim = sre + sub_dim * static_cast<std::size_t>(ld);
     if constexpr (kLanes > 0) {
-      C* sim = scratch + sub_dim * static_cast<std::size_t>(kLanes);
-      // Fused windows are <= 3 qubits by default; wider payloads (a
-      // raised max_fuse_qubits) take the generic loop.
       switch (op.num_targets) {
-        case 1: panel_dense_block<kLanes, 2>(op, re, im, bb, scratch, sim); return;
-        case 2: panel_dense_block<kLanes, 4>(op, re, im, bb, scratch, sim); return;
-        case 3: panel_dense_block<kLanes, 8>(op, re, im, bb, scratch, sim); return;
-        default: panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch); return;
+        case 1: panel_dense_block<kLanes, 2>(op, re, im, bb, sre, sim); return;
+        case 2: panel_dense_block<kLanes, 4>(op, re, im, bb, sre, sim); return;
+        case 3: panel_dense_block<kLanes, 8>(op, re, im, bb, sre, sim); return;
+        default: break;
       }
+    }
+    const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
+    panel_gather_sub(op, re, im, base, lanes, ld, sre, sim);
+    if constexpr (kLanes == 1) {
+      panel_dense_dot(op, re, im, base, sre, sim);
+    } else if constexpr (kLanes > 1) {
+      panel_dense_tiled<kLanes, kTileRows<kLanes>>(op, re, im, base, lanes, ld, sre, sim);
+    } else if (sub_dim < kTileRows<kDenseChunk>) {
+      panel_dense_tiled<kDenseChunk, 2>(op, re, im, base, lanes, ld, sre, sim);
     } else {
-      panel_dense_block_generic(op, re, im, sub_dim, lanes, bb, scratch);
+      panel_dense_tiled<kDenseChunk, kTileRows<kDenseChunk>>(op, re, im, base, lanes, ld,
+                                                                sre, sim);
     }
   };
   if (blocks * lanes >= kParallelBlockWork) {

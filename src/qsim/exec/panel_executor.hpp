@@ -12,7 +12,8 @@
 // handful of amplitudes, so the inner loops are short — a runtime trip
 // count leaves them as scalar loop skeletons, while a compile-time lane
 // count of 2/4/8/16 unrolls them into straight-line SIMD. `run` dispatches
-// on the panel's width (other widths take the generic runtime path).
+// on the panel's width; other widths take the runtime-width path, whose
+// dense kernel pads the lanes to whole 8-lane register tiles.
 //
 // OpenMP parallelism splits over amplitude blocks (never over lanes — the
 // lane loop is the SIMD dimension); thresholds scale with the lane count

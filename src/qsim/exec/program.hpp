@@ -16,6 +16,8 @@
 
 #include <complex>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "linalg/half.hpp"
@@ -82,6 +84,26 @@ struct FusedIr {
   ProgramStats stats;
 };
 
+/// A read-only array whose storage may be shared between ops: `specialize`
+/// interns op payloads, so every op with the same payload values points at
+/// one copy. Copying a view shares the storage; nothing writes through it.
+template <typename V>
+class SharedArray {
+ public:
+  SharedArray() = default;
+  explicit SharedArray(std::vector<V> values)
+      : values_(std::make_shared<const std::vector<V>>(std::move(values))) {}
+
+  const V* data() const { return values_ ? values_->data() : nullptr; }
+  std::size_t size() const { return values_ ? values_->size() : 0; }
+  const V& operator[](std::size_t i) const { return (*values_)[i]; }
+  const V* begin() const { return data(); }
+  const V* end() const { return data() + size(); }
+
+ private:
+  std::shared_ptr<const std::vector<V>> values_;
+};
+
 /// One executable op in precision T. The payload layout mirrors FusedOp;
 /// everything the kernel needs per amplitude-block is precomputed here.
 /// Controls are compiled away entirely: `insert_bits`/`set_mask` let the
@@ -116,11 +138,11 @@ struct CompiledOp {
   std::uint32_t num_targets = 0;
   std::uint64_t target_mask = 0;
   std::vector<std::uint64_t> target_bits;  ///< sorted single-bit masks
-  std::vector<std::complex<C>> payload;    ///< dense matrix or diagonal
+  SharedArray<std::complex<C>> payload;    ///< dense matrix or diagonal
   /// kDense: the matrix split into real/imaginary planes (row-major, same
   /// indexing as payload) so the matmul inner loop vectorizes — the
   /// interleaved complex layout defeats SIMD.
-  std::vector<C> payload_re, payload_im;
+  SharedArray<C> payload_re, payload_im;
   std::vector<std::uint64_t> offsets;      ///< dense: 2^k gather offsets
 
   // kGlobalPhase

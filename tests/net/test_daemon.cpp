@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -466,6 +467,34 @@ TEST(SolverDaemon, TraceHeaderIsAdoptedAndSpansCoverTheLifecycle) {
   EXPECT_GT(worst.at("total_seconds").as_number(), 0.0);
   EXPECT_EQ(worst.at("trace").at("trace_id").as_string(), want_trace);
 
+  daemon.drain(5000ms);
+}
+
+TEST(SolverDaemon, AdmissionSpanCoversTheHandlerBeforeQueue) {
+  // The admission span opens at handler entry — before the body parse,
+  // trace adoption and store probe — and closes after the submit, so it
+  // has a real duration, starts no later than the queue span the submit
+  // opens and is still open when that span starts.
+  SolverDaemon daemon(loopback_options());
+  daemon.start();
+  HttpClient client("127.0.0.1", daemon.port());
+  const auto accepted = client.post("/v1/jobs", kPoissonJob, "application/json");
+  ASSERT_EQ(accepted.status, 202) << accepted.body;
+  const std::string job_id = Json::parse(accepted.body).at("job_id").as_string();
+  ASSERT_EQ(poll_until_terminal(client, job_id).at("state").as_string(), "done");
+
+  const Json trace = Json::parse(client.get("/v1/jobs/" + job_id + "/trace").body);
+  std::optional<Json> admission, queue;
+  for (const auto& span : trace.at("spans").as_array()) {
+    if (span.at("name").as_string() == "admission") admission = span;
+    if (span.at("name").as_string() == "queue") queue = span;
+  }
+  ASSERT_TRUE(admission && queue) << trace.dump();
+  EXPECT_GT(admission->at("duration_us").as_number(), 0.0);
+  const double admission_start = admission->at("start_us").as_number();
+  EXPECT_LE(admission_start, queue->at("start_us").as_number());
+  EXPECT_GE(admission_start + admission->at("duration_us").as_number(),
+            queue->at("start_us").as_number());
   daemon.drain(5000ms);
 }
 

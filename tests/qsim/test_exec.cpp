@@ -2,18 +2,25 @@
 // (controls, negative controls, adjoints, diagonal and dense multi-qubit
 // payloads, global phases, swaps) executed through compile+Executor must
 // agree with gate-by-gate interpretation within precision tolerance, in
-// both float and double.
+// both float and double. Payload interning: a QSVT program stores each
+// distinct matrix once per tier, and sharing changes no result.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "linalg/random_matrix.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
+#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/executor.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
+#include "qsvt/solve.hpp"
 
 namespace {
 
@@ -280,6 +287,119 @@ TEST(Exec, PostCompileMeasurementMatchesInterpreter) {
   const auto pa = a.probabilities();
   const auto pb = b.probabilities();
   for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_NEAR(pa[i], pb[i], 1e-12);
+}
+
+// A gate-level QSVT context at n=16: the block encoding and its adjoint
+// are 5-target dense ops, one per block-encoding call — hundreds of them.
+const qsvt::QsvtSolverContext& qsvt_context() {
+  static const qsvt::QsvtSolverContext ctx = [] {
+    Xoshiro256 rng(49);
+    qsvt::QsvtOptions opts;
+    opts.backend = qsvt::Backend::kGateLevel;
+    opts.eps_l = 5e-2;
+    return qsvt::prepare_qsvt_solver(linalg::random_with_cond(rng, 16, 30.0), opts);
+  }();
+  return ctx;
+}
+
+// Distinct payload_re storage among the dense ops of `programs`; counts
+// the dense ops into `dense`.
+template <typename T>
+std::size_t distinct_dense_payloads(const std::vector<const qsim::exec::Program<T>*>& programs,
+                                    std::size_t& dense) {
+  std::set<const void*> storage;
+  dense = 0;
+  for (const auto* program : programs) {
+    for (const auto& op : program->ops) {
+      if (op.kind != qsim::exec::OpKind::kDense) continue;
+      ++dense;
+      storage.insert(op.payload_re.data());
+    }
+  }
+  return storage.size();
+}
+
+template <typename T>
+void expect_context_payloads_interned() {
+  std::size_t dense = 0;
+  const auto& program = qsvt_context().programs->get<T>();
+  EXPECT_LE(distinct_dense_payloads<T>({&program}, dense), 3u);
+  EXPECT_GT(dense, 400u);
+}
+
+TEST(PayloadInterning, QsvtContextStoresEachDenseMatrixOncePerTier) {
+  expect_context_payloads_interned<qsim::exec::f16>();
+  expect_context_payloads_interned<float>();
+  expect_context_payloads_interned<double>();
+}
+
+TEST(PayloadInterning, RankStepsShareOneTable) {
+  namespace dist = qsim::exec::dist;
+  const auto plan = dist::build_exchange_plan(qsvt_context().programs->ir(), 2);
+  for (std::uint32_t rank = 0; rank < 4; ++rank) {
+    const auto rp = dist::specialize_rank<float>(plan, rank);
+    std::vector<const qsim::exec::Program<float>*> programs;
+    for (const auto& step : rp.steps) {
+      programs.push_back(&step.local);
+      programs.push_back(&step.wide);
+    }
+    std::size_t dense = 0;
+    EXPECT_LE(distinct_dense_payloads<float>(programs, dense), 3u) << "rank " << rank;
+    EXPECT_GT(dense, 400u) << "rank " << rank;
+  }
+}
+
+// Copy `program` with every payload in storage of its own.
+template <typename T>
+qsim::exec::Program<T> unshared_copy(const qsim::exec::Program<T>& program) {
+  auto copy = program;
+  for (auto& op : copy.ops) {
+    using C = qsim::exec::exec_compute_t<T>;
+    op.payload = qsim::exec::SharedArray<std::complex<C>>({op.payload.begin(), op.payload.end()});
+    op.payload_re = qsim::exec::SharedArray<C>({op.payload_re.begin(), op.payload_re.end()});
+    op.payload_im = qsim::exec::SharedArray<C>({op.payload_im.begin(), op.payload_im.end()});
+  }
+  return copy;
+}
+
+template <typename T>
+void expect_interned_replay_matches_unshared(std::size_t lanes) {
+  const auto& interned = qsvt_context().programs->get<T>();
+  const auto unshared = unshared_copy(interned);
+  std::size_t dense = 0;
+  ASSERT_EQ(distinct_dense_payloads<T>({&unshared}, dense), dense);
+  qsim::exec::StatePanel<T> a(interned.num_qubits, lanes), b(interned.num_qubits, lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t i = 0; i < a.dim(); ++i) {
+      const std::complex<double> v(std::cos(0.1 * (i + 3 * l)), std::sin(0.07 * (i * l + 1)));
+      a.set_amp(i, l, v / std::sqrt(static_cast<double>(a.dim())));
+      b.set_amp(i, l, v / std::sqrt(static_cast<double>(a.dim())));
+    }
+  }
+  qsim::exec::PanelExecutor<T>().run(interned, a);
+  qsim::exec::PanelExecutor<T>().run(unshared, b);
+  const std::size_t n = a.dim() * lanes;
+  EXPECT_EQ(std::memcmp(a.re(), b.re(), n * sizeof(T)), 0) << lanes << " lanes";
+  EXPECT_EQ(std::memcmp(a.im(), b.im(), n * sizeof(T)), 0) << lanes << " lanes";
+}
+
+TEST(PayloadInterning, InternedReplayIsBitwiseTheUnsharedReplay) {
+  for (const std::size_t lanes : {1u, 8u}) {
+    expect_interned_replay_matches_unshared<qsim::exec::f16>(lanes);
+    expect_interned_replay_matches_unshared<float>(lanes);
+    expect_interned_replay_matches_unshared<double>(lanes);
+  }
+  // The scalar executor too.
+  const auto& interned = qsvt_context().programs->get<double>();
+  const auto unshared = unshared_copy(interned);
+  qsim::Statevector<double> a(interned.num_qubits);
+  qsim::Circuit spread(interned.num_qubits);
+  for (std::uint32_t q = 0; q < interned.num_qubits; ++q) spread.h(q).rz(q, 0.37 * (q + 1));
+  a.apply(spread);
+  auto b = a;
+  qsim::exec::Executor<double>().run(interned, a);
+  qsim::exec::Executor<double>().run(unshared, b);
+  for (std::size_t i = 0; i < a.dim(); ++i) EXPECT_EQ(a[i], b[i]) << "amp " << i;
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 // (1q, dense, diagonal, global phase, controls and negative controls), in
 // float and double, for ragged lane counts that are not powers of two,
 // and for the panel-wide reductions (norms, postselection) against their
-// Statevector counterparts.
+// Statevector counterparts. The wide dense ops (4-7 targets, the block
+// encoding's shape) are checked at every tier and a spread of widths
+// against the interpreter, and lane by lane for width independence.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -190,6 +193,101 @@ TEST(PanelExec, RaggedLaneCounts) {
     EXPECT_LT(panel_vs_sequential<double>(rng, c, 5, lanes), 1e-11) << "lanes=" << lanes;
   }
 }
+
+// One wide dense gate (k targets, random unitary) with the given numbers
+// of positive and negative controls on an n-qubit register.
+qsim::Circuit wide_dense_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t k,
+                                 std::size_t pos, std::size_t neg) {
+  qsim::Circuit c(n);
+  qsim::Gate g;
+  g.kind = qsim::GateKind::kUnitary;
+  std::uint64_t used = 0;
+  g.targets = pick_qubits(rng, n, k, used);
+  g.controls = pick_qubits(rng, n, pos, used);
+  g.neg_controls = pick_qubits(rng, n, neg, used);
+  g.matrix =
+      std::make_shared<const linalg::Matrix<c64>>(random_unitary(rng, std::size_t{1} << k));
+  c.push(std::move(g));
+  return c;
+}
+
+// Per-amplitude agreement with the double interpreter: each tier's
+// panel-vs-scalar tolerance, and for the f16 tier one binary16 unit
+// roundoff (2^-11) of the unit-norm state.
+template <typename T>
+constexpr double tier_tolerance() {
+  if constexpr (std::is_same_v<T, double>) {
+    return 1e-11;
+  } else if constexpr (std::is_same_v<T, float>) {
+    return 1e-3;
+  } else {
+    return 0x1p-11;
+  }
+}
+
+template <typename T>
+qsim::exec::StatePanel<T> replay_panel(const qsim::exec::Program<T>& program, std::uint32_t n,
+                                       const std::vector<std::vector<c64>>& states,
+                                       std::size_t first, std::size_t lanes) {
+  qsim::exec::StatePanel<T> panel(n, lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t i = 0; i < panel.dim(); ++i) panel.set_amp(i, l, states[first + l][i]);
+  }
+  qsim::exec::PanelExecutor<T>().run(program, panel);
+  return panel;
+}
+
+// Every wide-op shape at every width: within tolerance of the double
+// interpreter, and (width >= 2) every lane bitwise equal to the same
+// state's lane in a 16-lane panel.
+template <typename T>
+void expect_wide_dense_ops(std::uint64_t seed) {
+  const std::uint32_t n = 9;
+  const std::size_t kWidths[] = {1, 2, 3, 4, 5, 8, 13, 16, 17};
+  const std::size_t kControls[][2] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<c64>> states;
+  for (std::size_t l = 0; l < 32; ++l) states.push_back(random_state(rng, n));
+  for (std::size_t k = 4; k <= 7; ++k) {
+    for (const auto& ctrl : kControls) {
+      const auto circuit = wide_dense_circuit(rng, n, k, ctrl[0], ctrl[1]);
+      const auto program = qsim::exec::compile<T>(circuit);
+      ASSERT_EQ(program.ops.size(), 1u);
+      ASSERT_EQ(program.ops[0].num_targets, k);
+      std::vector<qsim::Statevector<double>> want;
+      for (std::size_t l = 0; l < 17; ++l) {
+        want.push_back(qsim::Statevector<double>::from_amplitudes(n, states[l]));
+        want.back().apply(circuit);
+      }
+      const auto ref0 = replay_panel(program, n, states, 0, 16);
+      const auto ref1 = replay_panel(program, n, states, 16, 16);
+      for (const std::size_t width : kWidths) {
+        const auto panel = replay_panel(program, n, states, 0, width);
+        for (std::size_t l = 0; l < width; ++l) {
+          const auto& ref = l < 16 ? ref0 : ref1;
+          double worst = 0.0;
+          bool same_as_16 = true;
+          for (std::size_t i = 0; i < panel.dim(); ++i) {
+            const auto got = panel.amp(i, l);
+            worst = std::max(worst, std::abs(got - want[l][i]));
+            same_as_16 = same_as_16 && got == ref.amp(i, l % 16);
+          }
+          EXPECT_LT(worst, tier_tolerance<T>())
+              << "k=" << k << " pos=" << ctrl[0] << " neg=" << ctrl[1] << " width=" << width
+              << " lane=" << l;
+          if (width >= 2) {
+            EXPECT_TRUE(same_as_16) << "k=" << k << " pos=" << ctrl[0] << " neg=" << ctrl[1]
+                                    << " width=" << width << " lane=" << l;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PanelExec, WideDenseOpsDouble) { expect_wide_dense_ops<double>(81); }
+TEST(PanelExec, WideDenseOpsFloat) { expect_wide_dense_ops<float>(82); }
+TEST(PanelExec, WideDenseOpsHalf) { expect_wide_dense_ops<qsim::exec::f16>(83); }
 
 TEST(PanelExec, ProgramNarrowerThanPanelRegister) {
   Xoshiro256 rng(74);
