@@ -14,9 +14,17 @@
 //   - >= 2.5x job throughput with 4 in-process workers vs 1
 //   - affinity routing beats random routing's aggregate cache hit rate
 //
+// The ring scores workers by "127.0.0.1:<ephemeral port>", so where the 8
+// matrices land changes from run to run. In about 4 * P(Bin(8, 1/4) >= 5)
+// ~ 11% of runs one worker homes 5 keys against its 4-context cache: it
+// misses all 40 of its jobs, the other 3 keys hit 21 of 64 (32.8%), and
+// the hit-rate gate fails. The bench prints each worker's key count so a
+// failing run names that cause.
+//
 // Emits BENCH_cluster_scaling.json (see bench_io.hpp).
 //
 //   build/bench/perf_cluster_scaling
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -73,6 +81,7 @@ struct RunResult {
   std::uint64_t cache_misses = 0;
   std::uint64_t affinity_hits = 0;
   std::uint64_t spillovers = 0;
+  std::vector<std::size_t> keys_per_worker;  ///< distinct matrices homed per worker
   bool all_done = true;
 
   double hit_rate() const {
@@ -93,6 +102,12 @@ RunResult run_workload(std::size_t workers, bool affinity) {
 
   net::HttpClient client("127.0.0.1", cluster.port());
 
+  RunResult result;
+  result.keys_per_worker.assign(workers, 0);
+  for (std::size_t m = 0; m < kDistinctMatrices; ++m) {
+    ++result.keys_per_worker[cluster.coordinator().affinity_home(job_body(m))];
+  }
+
   Timer wall;
   std::vector<std::string> ids;
   ids.reserve(kJobs);
@@ -106,7 +121,6 @@ RunResult run_workload(std::size_t workers, bool affinity) {
     ids.push_back(Json::parse(response.body).at("job_id").as_string());
   }
 
-  RunResult result;
   result.all_done = ids.size() == kJobs;
   for (const auto& id : ids) {
     for (;;) {
@@ -165,6 +179,20 @@ int main() {
   add("4 workers, random", random4);
   table.print(std::cout);
 
+  std::size_t max_keys = 0;
+  std::printf("\nmatrices homed per worker (4 workers, affinity):");
+  for (const std::size_t k : four.keys_per_worker) {
+    std::printf(" %zu", k);
+    max_keys = std::max(max_keys, k);
+  }
+  std::printf(" (cache capacity %zu)\n", kWorkerCacheCapacity);
+  if (max_keys > kWorkerCacheCapacity) {
+    std::printf("NOTE: a worker homes %zu matrices > its cache capacity %zu, so cyclic access "
+                "misses every one of its jobs; ring placement follows the workers' ephemeral "
+                "ports\n",
+                max_keys, kWorkerCacheCapacity);
+  }
+
   const double speedup = one.seconds / four.seconds;
   std::printf("\n4-worker speedup: %.2fx (acceptance: >= 2.5x)\n", speedup);
   std::printf("hit rate, affinity vs random: %.1f%% vs %.1f%% (acceptance: strictly higher)\n",
@@ -188,6 +216,7 @@ int main() {
   report.metric("jobs_per_second_4", four.jobs_per_second);
   report.metric("hit_rate_affinity", four.hit_rate());
   report.metric("hit_rate_random", random4.hit_rate());
+  report.metric("max_keys_per_worker", static_cast<double>(max_keys));
   report.pass(ok);
   report.write();
   return ok ? 0 : 1;

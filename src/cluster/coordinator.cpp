@@ -225,6 +225,10 @@ std::uint64_t Coordinator::affinity_key(const Json& parsed, const std::string& b
   }
 }
 
+std::size_t Coordinator::affinity_home(const std::string& json_body) const {
+  return ring_.home(affinity_key(Json::parse(json_body), json_body));
+}
+
 std::vector<std::size_t> Coordinator::candidate_order(std::uint64_t key) {
   if (options_.affinity_routing) return ring_.candidates(key);
   // Cache-blind baseline: pick a pseudo-random start worker and rotate

@@ -144,6 +144,11 @@ class Coordinator {
   };
   std::vector<WorkerSnapshot> workers() const;
 
+  /// The ring home of a JSON job body: the worker affinity routing prefers
+  /// for it (where its matrix's context stays cached). Shows how a
+  /// workload's keys spread over the workers.
+  std::size_t affinity_home(const std::string& json_body) const;
+
   /// The /v1/metrics payload: own routing counters + per-worker gauges +
   /// every reachable worker's families relabeled with worker="w<k>".
   /// Does outbound I/O — never call from the event loop (the HTTP

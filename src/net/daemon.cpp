@@ -590,7 +590,7 @@ std::string SolverDaemon::metrics_text() const {
   m.counter("mpqls_program_ops_total", "Fused executor ops across compiled programs.",
             stats.program_ops_total);
 
-  m.gauge("mpqls_panel_width", "Configured RHS lanes per execution panel (<2 = scalar path).",
+  m.gauge("mpqls_panel_width", "Configured RHS lanes per execution panel (<2 = one-lane panel per RHS).",
           static_cast<std::uint64_t>(options_.service.panel_width));
   m.counter("mpqls_panels_executed_total",
             "Compiled-program sweeps that carried a panel of RHS lanes.",

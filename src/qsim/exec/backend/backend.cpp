@@ -8,6 +8,20 @@
 
 namespace mpqls::qsim::exec {
 
+void ExecBackend::apply_program(BackendHandle& handle, const Program<float>& program,
+                                Statevector<float>& sv) const {
+  run_as_one_lane_panel(sv, [&](StatePanel<float>& panel) {
+    apply_program_panel(handle, program, panel);
+  });
+}
+
+void ExecBackend::apply_program(BackendHandle& handle, const Program<double>& program,
+                                Statevector<double>& sv) const {
+  run_as_one_lane_panel(sv, [&](StatePanel<double>& panel) {
+    apply_program_panel(handle, program, panel);
+  });
+}
+
 struct BackendRegistry::Impl {
   mutable std::mutex mutex;
   std::vector<std::shared_ptr<ExecBackend>> ordered;

@@ -13,12 +13,15 @@
 //    calls on it may race from many solve threads, so a backend's handle
 //    must be internally synchronized. Destroying the handle (its last
 //    shared_ptr) releases everything the backend allocated for it.
-//  * `apply_program` / `apply_program_panel` replay every op of the
-//    program, in order, against the register — semantically identical to
-//    Executor<T>/PanelExecutor<T> up to floating-point reassociation. The
-//    program outlives the handle's use of it (programs are cached inside
-//    a ProgramSet for the context's lifetime), which lets backends key
-//    per-program plans by address.
+//  * `apply_program_panel` replays every op of the program, in order,
+//    against every lane of the panel — semantically identical to
+//    PanelExecutor<T> up to floating-point reassociation. It is the one
+//    replay entry point the stack calls: a singleton solve arrives as a
+//    one-lane panel. The program outlives the handle's use of it
+//    (programs are cached inside a ProgramSet for the context's
+//    lifetime), which lets backends key per-program plans by address.
+//  * `apply_program` (Statevector register) is a convenience: its default
+//    body replays through `apply_program_panel` on a one-lane panel.
 //  * `capabilities()` names the backend; the registry keys on that name.
 #pragma once
 
@@ -58,12 +61,16 @@ class ExecBackend {
   /// excludes the statevector itself). Telemetry/planning only.
   virtual std::size_t workspace_bytes(std::uint32_t num_qubits) const = 0;
 
-  // Scalar register entry points. (Virtuals cannot be templates; the f16
-  // tier has no Statevector<f16> — half always runs the panel form.)
+  // Statevector entry points. Nothing in the library calls them: every
+  // replay goes through apply_program_panel. The default body copies the
+  // register into a one-lane panel, replays it through this backend's
+  // apply_program_panel, and copies the lane back; overrides (a
+  // decorator's) must keep that meaning. (Virtuals cannot be templates;
+  // there is no Statevector<f16>.)
   virtual void apply_program(BackendHandle& handle, const Program<float>& program,
-                             Statevector<float>& sv) const = 0;
+                             Statevector<float>& sv) const;
   virtual void apply_program(BackendHandle& handle, const Program<double>& program,
-                             Statevector<double>& sv) const = 0;
+                             Statevector<double>& sv) const;
 
   // Panel entry points, one per storage tier.
   virtual void apply_program_panel(BackendHandle& handle, const Program<f16>& program,

@@ -1,17 +1,15 @@
-// The "reference" backend: the pre-existing OpenMP scalar and panel
-// executors, dispatched through the ExecBackend seam. Zero regression by
-// construction — apply_program IS Executor<T>::run and apply_program_panel
-// IS PanelExecutor<T>::run, so results are bit-identical to direct
-// executor calls for a fixed thread count.
+// The "reference" backend: PanelExecutor<T> dispatched through the
+// ExecBackend seam. apply_program_panel IS PanelExecutor<T>::run, so
+// results are bit-identical to direct executor calls for a fixed thread
+// count; the Statevector entry points keep the seam's one-lane default.
 #include "qsim/exec/backend/backend.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/exec/panel_executor.hpp"
 
 namespace mpqls::qsim::exec {
 
 namespace {
 
-/// The executors are stateless, so the reference handle carries nothing;
+/// The executor is stateless, so the reference handle carries nothing;
 /// it exists to satisfy the handle lifecycle of the interface.
 class ReferenceHandle final : public BackendHandle {};
 
@@ -28,15 +26,6 @@ class ReferenceBackend final : public ExecBackend {
     // dense op, which is not bounded by the fusion window (the QSVT block
     // encoding is one op on 2^7 sub-amplitudes) — only by the register.
     return 2 * (std::size_t{1} << num_qubits) * sizeof(double);
-  }
-
-  void apply_program(BackendHandle&, const Program<float>& program,
-                     Statevector<float>& sv) const override {
-    Executor<float>{}.run(program, sv);
-  }
-  void apply_program(BackendHandle&, const Program<double>& program,
-                     Statevector<double>& sv) const override {
-    Executor<double>{}.run(program, sv);
   }
 
   void apply_program_panel(BackendHandle&, const Program<f16>& program,

@@ -1,13 +1,12 @@
-// The op kernels behind Executor<T>, PanelExecutor<T> and the dist rank
-// executor, in two families over the same Program<T>: scalar kernels on an
-// interleaved std::complex<T> register, and panel kernels on split re/im
-// planes with the lane index innermost (lane count a template parameter,
-// 0 = runtime width). One body per op kind, except the panel dense op,
-// which has three by shape:
+// The op kernels behind PanelExecutor<T> and the dist rank executor: one
+// kernel family over a compiled Program<T>, on split re/im planes with the
+// lane index innermost (lane count a template parameter, 0 = runtime
+// width). A singleton solve is a one-lane panel. One body per op kind,
+// except the dense op, which has three by shape:
 //  * <= 3 targets (the fused windows): fully unrolled sub-dimension;
 //  * wider (the block encoding), two or more lanes, and every op at a
 //    runtime width: register tiles of matrix rows x lanes;
-//  * wider, one lane: a row dot product, the scalar `apply_dense` form.
+//  * wider, one lane: a row dot product with an `omp simd` reduction.
 // The first two sum each lane in the same order with the same expression,
 // so a lane's result is bitwise independent of the panel width (>= 2).
 // Each kernel enters an OpenMP region only above its kParallel* threshold
@@ -40,169 +39,18 @@ std::uint64_t expand_index(std::uint64_t compact, const CompiledOp<T>& op) {
   return compact | op.set_mask;
 }
 
-// Below-threshold registers skip the OpenMP region entirely: entering a
-// (even one-thread) parallel region per op costs more than a whole
-// small-register sweep, and the compiled hot path runs thousands of ops.
-inline constexpr std::int64_t kParallelPairs = std::int64_t{1} << 13;
-inline constexpr std::int64_t kParallelBlocks = std::int64_t{1} << 11;
-inline constexpr std::int64_t kParallelAmps = std::int64_t{1} << 14;
-
-// --- scalar (Statevector<T>) kernels ---------------------------------------
-
-template <typename T>
-void apply_1q(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n) {
-  const std::uint64_t bit = op.target_bit;
-  const std::int64_t pairs = n >> op.free_shift;
-  // Below the lowest re-inserted bit, consecutive loop indices map to
-  // consecutive amplitudes — process those runs with a vectorizable
-  // split re/im inner loop. chunk is a power of two and always divides
-  // `pairs` (there are at least log2(chunk) free bits below every
-  // inserted bit).
-  const std::int64_t chunk =
-      std::min<std::int64_t>(static_cast<std::int64_t>(op.insert_bits[0]), pairs);
-  const T m00r = op.m00.real(), m00i = op.m00.imag();
-  const T m01r = op.m01.real(), m01i = op.m01.imag();
-  const T m10r = op.m10.real(), m10i = op.m10.imag();
-  const T m11r = op.m11.real(), m11i = op.m11.imag();
-  auto chunk_kernel = [&](std::int64_t ii) {
-    const std::uint64_t i = expand_index(static_cast<std::uint64_t>(ii), op);
-    T* p0 = reinterpret_cast<T*>(amps + i);
-    T* p1 = reinterpret_cast<T*>(amps + (i | bit));
-#pragma omp simd
-    for (std::int64_t l = 0; l < chunk; ++l) {
-      const T re0 = p0[2 * l], im0 = p0[2 * l + 1];
-      const T re1 = p1[2 * l], im1 = p1[2 * l + 1];
-      p0[2 * l] = m00r * re0 - m00i * im0 + m01r * re1 - m01i * im1;
-      p0[2 * l + 1] = m00r * im0 + m00i * re0 + m01r * im1 + m01i * re1;
-      p1[2 * l] = m10r * re0 - m10i * im0 + m11r * re1 - m11i * im1;
-      p1[2 * l + 1] = m10r * im0 + m10i * re0 + m11r * im1 + m11i * re1;
-    }
-  };
-  if (pairs >= kParallelPairs) {
-#pragma omp parallel for
-    for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
-  } else {
-    for (std::int64_t ii = 0; ii < pairs; ii += chunk) chunk_kernel(ii);
-  }
-}
-
-template <typename T>
-void apply_dense(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-                 std::vector<T>& run_scratch) {
-  using complex_type = std::complex<T>;
-  const std::uint32_t k = op.num_targets;
-  const std::size_t sub_dim = std::size_t{1} << k;
-  const std::int64_t blocks = n >> op.free_shift;
-  const std::uint64_t* offsets = op.offsets.data();
-  const T* mre = op.payload_re.data();
-  const T* mim = op.payload_im.data();
-  // The sub-state and the matrix rows are processed in split
-  // real/imaginary planes: the inner product below is then contiguous
-  // scalar arrays, which the compiler vectorizes (the interleaved
-  // complex layout would not).
-  auto block_kernel = [&](std::int64_t bb, T* sre, T* sim) {
-    // Expand the block index into the base index: target and control
-    // bits re-inserted, positive controls set.
-    const std::uint64_t base = expand_index(static_cast<std::uint64_t>(bb), op);
-    for (std::size_t s = 0; s < sub_dim; ++s) {
-      const complex_type a = amps[base | offsets[s]];
-      sre[s] = a.real();
-      sim[s] = a.imag();
-    }
-    for (std::size_t r = 0; r < sub_dim; ++r) {
-      const T* rre = mre + r * sub_dim;
-      const T* rim = mim + r * sub_dim;
-      T acc_re{}, acc_im{};
-#pragma omp simd reduction(+ : acc_re, acc_im)
-      for (std::size_t s = 0; s < sub_dim; ++s) {
-        acc_re += rre[s] * sre[s] - rim[s] * sim[s];
-        acc_im += rre[s] * sim[s] + rim[s] * sre[s];
-      }
-      amps[base | offsets[r]] = complex_type(acc_re, acc_im);
-    }
-  };
-  if (blocks >= kParallelBlocks) {
-#pragma omp parallel
-    {
-      std::vector<T> scratch(2 * sub_dim);
-#pragma omp for
-      for (std::int64_t bb = 0; bb < blocks; ++bb) {
-        block_kernel(bb, scratch.data(), scratch.data() + sub_dim);
-      }
-    }
-  } else {
-    if (run_scratch.size() < 2 * sub_dim) run_scratch.resize(2 * sub_dim);
-    for (std::int64_t bb = 0; bb < blocks; ++bb) {
-      block_kernel(bb, run_scratch.data(), run_scratch.data() + sub_dim);
-    }
-  }
-}
-
-template <typename T>
-void apply_diagonal(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n) {
-  const std::uint32_t k = op.num_targets;
-  const std::int64_t count = n >> op.free_shift;  // firing amplitudes only
-  const std::uint64_t* target_bits = op.target_bits.data();
-  const std::complex<T>* d = op.payload.data();
-  auto amp_kernel = [&](std::int64_t ii) {
-    const std::uint64_t i = expand_index(static_cast<std::uint64_t>(ii), op);
-    std::uint64_t sub = 0;
-    for (std::uint32_t t = 0; t < k; ++t) {
-      if (i & target_bits[t]) sub |= std::uint64_t{1} << t;
-    }
-    amps[i] *= d[sub];
-  };
-  if (count >= kParallelAmps) {
-#pragma omp parallel for
-    for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
-  } else {
-    for (std::int64_t i = 0; i < count; ++i) amp_kernel(i);
-  }
-}
-
-template <typename T>
-void apply_phase(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n) {
-  const std::complex<T> phase = op.phase;
-  if (n >= kParallelAmps) {
-#pragma omp parallel for
-    for (std::int64_t i = 0; i < n; ++i) amps[i] *= phase;
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) amps[i] *= phase;
-  }
-}
-
-/// One op against a scalar register (the per-op body of Executor::run).
-template <typename T>
-void apply_op(const CompiledOp<T>& op, std::complex<T>* amps, std::int64_t n,
-              std::vector<T>& dense_scratch) {
-  switch (op.kind) {
-    case OpKind::kApply1q:
-      apply_1q(op, amps, n);
-      break;
-    case OpKind::kDense:
-      apply_dense(op, amps, n, dense_scratch);
-      break;
-    case OpKind::kDiagonal:
-      apply_diagonal(op, amps, n);
-      break;
-    case OpKind::kGlobalPhase:
-      apply_phase(op, amps, n);
-      break;
-  }
-}
-
-// --- panel (StatePanel<T>) kernels -----------------------------------------
-//
 // Amplitudes load/store through the storage precision T but all kernel
 // arithmetic happens in the compute precision exec_compute_t<T> (float for
 // the f16 tier, T itself for float/double). The lane count is a template
 // parameter (kLanes == 0 means runtime width): QSVT programs are dominated
 // by heavily-controlled ops with short inner loops, and a compile-time
 // lane count unrolls them into straight-line SIMD.
-
-// Same region-entry economics as the scalar kernels, divided by the lane
-// count: every enumerated amplitude does `lanes` lanes of work, so a panel
-// reaches the scalar thresholds at 1/B of the register size.
+//
+// Below-threshold work skips the OpenMP region entirely: entering a (even
+// one-thread) parallel region per op costs more than a whole small-panel
+// sweep, and the compiled hot path runs thousands of ops. The thresholds
+// count lane-amplitudes, so a B-lane panel reaches them at 1/B of the
+// register size.
 inline constexpr std::int64_t kParallelPairWork = std::int64_t{1} << 13;
 inline constexpr std::int64_t kParallelBlockWork = std::int64_t{1} << 11;
 inline constexpr std::int64_t kParallelAmpWork = std::int64_t{1} << 14;
@@ -214,11 +62,12 @@ void panel_apply_1q(const CompiledOp<T>& op, T* re, T* im, std::int64_t n,
   const std::int64_t lanes = kLanes > 0 ? kLanes : lanes_rt;
   const std::uint64_t bit = op.target_bit;
   const std::int64_t pairs = n >> op.free_shift;
-  // Same chunking as the scalar kernel: below the lowest re-inserted bit,
-  // consecutive loop indices map to consecutive amplitudes — and in the
-  // panel layout consecutive amplitudes are contiguous blocks of `lanes`
-  // elements, so a chunk of C pairs is one flat unit-stride run of
-  // C*lanes scalars per plane. One index expansion covers the whole run;
+  // Below the lowest re-inserted bit, consecutive loop indices map to
+  // consecutive amplitudes — and in the panel layout consecutive
+  // amplitudes are contiguous blocks of `lanes` elements, so a chunk of C
+  // pairs is one flat unit-stride run of C*lanes scalars per plane (C is
+  // a power of two and always divides `pairs`: there are at least
+  // log2(C) free bits below every inserted bit). One index expansion covers the whole run;
   // the batch dimension rides inside the same SIMD loop.
   const std::int64_t chunk =
       std::min<std::int64_t>(static_cast<std::int64_t>(op.insert_bits[0]), pairs);
@@ -378,7 +227,8 @@ void panel_dense_tiled(const CompiledOp<T>& op, T* __restrict__ re, T* __restric
 }
 
 /// Wide dense block at one lane: a row dot product with an `omp simd`
-/// reduction over s — the arithmetic form of the scalar `apply_dense`.
+/// reduction over s (the tile would idle all but one lane of its SIMD
+/// width; the reduction vectorizes over s instead).
 template <typename T>
 void panel_dense_dot(const CompiledOp<T>& op, T* re, T* im, std::uint64_t base,
                      const exec_compute_t<T>* __restrict__ sre,

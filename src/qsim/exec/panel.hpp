@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "qsim/statevector.hpp"
 
 namespace mpqls::qsim::exec {
 
@@ -167,5 +168,23 @@ class StatePanel {
   std::size_t lanes_;
   std::vector<T> re_, im_;
 };
+
+/// The one conversion between the gate interpreter's register and the
+/// compiled path, for callers that need a Statevector afterwards
+/// (sampling, the backend's Statevector entry points): copy `sv` into a
+/// one-lane panel, let `run(panel)` replay onto it, and copy the lane back.
+/// Both copies are exact: a one-lane panel holds the same T values, split.
+template <typename T, typename Run>
+void run_as_one_lane_panel(Statevector<T>& sv, Run&& run) {
+  StatePanel<T> panel(sv.num_qubits(), 1);
+  for (std::size_t i = 0; i < sv.dim(); ++i) {
+    panel.re()[i] = sv[i].real();
+    panel.im()[i] = sv[i].imag();
+  }
+  run(panel);
+  for (std::size_t i = 0; i < sv.dim(); ++i) {
+    sv[i] = typename Statevector<T>::complex_type(panel.re()[i], panel.im()[i]);
+  }
+}
 
 }  // namespace mpqls::qsim::exec

@@ -1,27 +1,31 @@
 // Replays a compiled Program<T> against a StatePanel<T>: one sweep of the
-// gate stream updates every lane. The kernels mirror Executor<T>'s — same
-// compacted-index enumeration, same per-amplitude arithmetic — but the
-// innermost loop runs over the panel's lane dimension, which is unit
-// stride by construction. That turns the memory-bound per-RHS replay into
-// small matrix–panel products: each gate's matrix entries and index
-// expansions are paid once per amplitude block and applied to B lanes, so
-// B right-hand sides cost one traversal of the program instead of B.
+// gate stream updates every lane. This is the only replayer of a compiled
+// program — a singleton solve is a one-lane panel. Amplitude pairs are
+// enumerated directly from compacted indices (no skipped-index branches),
+// gate matrices are already in the execution precision, dense gather
+// offsets come precomputed from the compiler, and the innermost loop runs
+// over the panel's lane dimension, which is unit stride by construction.
+// That turns the memory-bound per-RHS replay into small matrix–panel
+// products: each gate's matrix entries and index expansions are paid once
+// per amplitude block and applied to B lanes, so B right-hand sides cost
+// one traversal of the program instead of B.
 //
 // The lane count is a template parameter of the kernel bodies: QSVT
 // programs are dominated by heavily-controlled ops that enumerate only a
 // handful of amplitudes, so the inner loops are short — a runtime trip
 // count leaves them as scalar loop skeletons, while a compile-time lane
-// count of 2/4/8/16 unrolls them into straight-line SIMD. `run` dispatches
-// on the panel's width; other widths take the runtime-width path, whose
-// dense kernel pads the lanes to whole 8-lane register tiles.
+// count of 1/2/4/8/16 unrolls them into straight-line SIMD. `run`
+// dispatches on the panel's width; other widths take the runtime-width
+// path, whose dense kernel pads the lanes to whole 8-lane register tiles.
 //
 // OpenMP parallelism splits over amplitude blocks (never over lanes — the
-// lane loop is the SIMD dimension); thresholds scale with the lane count
-// so a panel enters a parallel region at 1/B of the scalar executor's
-// register size. Like Executor, the replayer is stateless and reentrant.
+// lane loop is the SIMD dimension); thresholds count lane-amplitudes, so a
+// wide panel enters a parallel region at a smaller register size. The
+// replayer is stateless and reentrant: scratch lives on the run frame, so
+// one program can be replayed from many threads onto distinct panels.
 //
 // The op bodies live in qsim/exec/kernels.hpp. This class IS the
-// "reference" execution backend's panel path (qsim/exec/backend/).
+// "reference" execution backend (qsim/exec/backend/).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +48,8 @@ class PanelExecutor {
 
  public:
   /// Apply every op of `program` to all lanes of `panel` in order. The
-  /// program may be narrower than the register (mirrors Executor::run).
+  /// program may be narrower than the register (mirrors
+  /// Statevector::apply(Circuit)).
   void run(const Program<T>& program, StatePanel<T>& panel) const {
     expects((std::size_t{1} << program.num_qubits) <= panel.dim(),
             "panel exec: program wider than register");

@@ -48,10 +48,6 @@ class Statevector {
   const std::vector<complex_type>& amplitudes() const { return amps_; }
   complex_type& operator[](std::size_t i) { return amps_[i]; }
   const complex_type& operator[](std::size_t i) const { return amps_[i]; }
-  /// Raw amplitude storage — the contract the execution engine's compiled
-  /// kernels (qsim/exec) run against.
-  complex_type* data() { return amps_.data(); }
-  const complex_type* data() const { return amps_.data(); }
 
   // The reductions below (norm, probability, probability_all_zero) run in
   // parallel for registers of >= 2^15 amplitudes. Parallel summation order

@@ -6,7 +6,8 @@
 
 #include "common/contracts.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
+#include "qsim/exec/panel.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
 #include "qsim/synth/qft.hpp"
 
@@ -65,13 +66,13 @@ AmplitudeEstimationResult estimate_amplitude(const Circuit& v,
   AmplitudeEstimationResult out;
   out.clock_qubits = clock_qubits;
 
-  const exec::Executor<double> executor;
+  const exec::PanelExecutor<double> executor;
 
   // Reference value from the raw state (diagnostics only).
   {
-    Statevector<double> ref(n);
+    exec::StatePanel<double> ref(n, 1);
     executor.run(exec::compile<double>(v), ref);
-    out.exact = ref.probability_all_zero(marked_zero);
+    out.exact = ref.probability_all_zero(marked_zero)[0];
   }
 
   // QPE over the Grover iterate.
@@ -91,8 +92,11 @@ AmplitudeEstimationResult estimate_amplitude(const Circuit& v,
 
   // The QPE circuit repeats the controlled Grover iterate 2^m - 1 times;
   // compiling fuses each repetition once and replays the flat program.
+  const auto program = exec::compile<double>(qpe);
   Statevector<double> sv(width);
-  executor.run(exec::compile<double>(qpe), sv);
+  exec::run_as_one_lane_panel(sv, [&](exec::StatePanel<double>& panel) {
+    executor.run(program, panel);
+  });
 
   // Sample the clock register; convert the modal outcome y to
   // a = sin^2(pi y / 2^m).

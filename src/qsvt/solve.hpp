@@ -6,8 +6,10 @@
 // what sampling a quantum state yields; Remark 2).
 //
 // Two interchangeable backends:
-//  * kGateLevel — builds SP(rhs) + U_Phi as circuits and runs them on the
-//    statevector simulator (float or double), postselecting ancillas.
+//  * kGateLevel — builds U_Phi as a circuit, compiles it once, and replays
+//    it over the directly embedded rhs on the panel executor (half, single
+//    or double; one lane per RHS), postselecting ancillas. Noise
+//    trajectories run SP(rhs) + U_Phi on the gate interpreter instead.
 //  * kMatrixFunction — applies the same polynomial directly to the
 //    singular values (the ideal QSVT channel). Used for large kappa where
 //    the paper switches to estimated angles [32]; see DESIGN.md
@@ -37,7 +39,8 @@ namespace mpqls::qsvt {
 enum class Backend { kGateLevel, kMatrixFunction };
 /// QPU statevector precision. The first two are fixed tiers (wire-encoded
 /// values — append only). kHalf stores amplitudes in binary16 and computes
-/// in float (the panel path; scalar half solves run a one-lane panel).
+/// in float (noise trajectories, which have no fp16 register, run it in
+/// float).
 /// kAdaptive is not a tier: the refinement loop starts cheap and escalates
 /// half -> single -> double per lane as the residual contracts.
 enum class QpuPrecision { kSingle, kDouble, kHalf, kAdaptive };
@@ -152,11 +155,11 @@ struct PanelExecStats {
 /// against the same context in ONE sweep of the cached compiled program.
 /// Each RHS is normalized and embedded directly into its own lane of a
 /// StatePanel (no per-solve state-prep circuit), the program is replayed
-/// once over the panel, and every lane is post-selected and extracted.
-/// Outcomes match the scalar path per RHS up to vectorization-dependent
-/// rounding. Falls back to sequential scalar solves — and leaves `stats`
-/// untouched — for the matrix-function backend, noisy contexts, and
-/// single-RHS batches, so callers may use it unconditionally.
+/// once over the panel, and every lane is post-selected and extracted. A
+/// single RHS is a one-lane panel, exactly what `qsvt_solve_direction`
+/// runs. Falls back to sequential per-RHS solves — and leaves `stats`
+/// untouched — for the matrix-function backend and noisy contexts, so
+/// callers may use it unconditionally.
 std::vector<QsvtSolveOutcome> qsvt_solve_directions(
     const QsvtSolverContext& ctx, std::span<const linalg::Vector<double>> rhs,
     PanelExecStats* stats = nullptr,

@@ -116,11 +116,11 @@ SolveResult SolverService::solve(const SolveRequest& request) {
 
   // Panel-eligible jobs group their right-hand sides into panels of
   // `panel_width` lanes: each group replays the cached program in one
-  // sweep (lockstep refinement, see solve_qsvt_ir_batch). Singleton jobs
-  // gain nothing from a one-lane panel; noise trajectories need per-gate
-  // injection the panel kernels cannot do; and shot-seeded readouts keep
-  // the scalar path so their per-solve RNG consumption stays identical to
-  // historical results. Those all fan out one task per RHS as before.
+  // sweep (lockstep refinement, see solve_qsvt_ir_batch). Singleton jobs,
+  // noise trajectories (per-gate injection on the gate interpreter) and
+  // shot-seeded readouts (per-RHS refinement keeps their per-solve RNG
+  // consumption identical to historical results) fan out one task per
+  // RHS instead; a clean task still replays its RHS as a one-lane panel.
   const auto& qsvt_opts = options.qsvt;
   const bool noisy = qsvt_opts.noise.depolarizing_per_gate > 0.0 ||
                      qsvt_opts.noise.damping_per_gate > 0.0;

@@ -54,8 +54,9 @@ struct ServiceOptions {
   /// RHS lanes per execution panel: a job's right-hand sides are grouped
   /// into panels of this many lanes, each replaying the cached compiled
   /// program in ONE sweep (see qsim/exec/panel.hpp). Small powers of two
-  /// vectorize best. Values < 2 disable panel execution; singleton,
-  /// noisy and shot-seeded jobs always fall back to the scalar path.
+  /// vectorize best. Values < 2 disable panel grouping; singleton, noisy
+  /// and shot-seeded jobs always run one task per RHS (a clean task
+  /// replays its RHS as a one-lane panel).
   std::size_t panel_width = 8;
   /// Byte budget of the content-addressed matrix store (uploads via
   /// PUT /v1/matrices that jobs reference as {"matrix_ref": ...}). The

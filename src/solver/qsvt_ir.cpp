@@ -78,11 +78,10 @@ void record_setup_comm(const qsvt::QsvtSolverContext& ctx, std::size_t n, hybrid
 
 QsvtIrReport solve_qsvt_ir(const qsvt::QsvtSolverContext& ctx, const linalg::Vector<double>& b,
                            const QsvtIrOptions& options) {
-  // One-lane batch: Algorithm 2 lives once, in solve_qsvt_ir_batch. A
-  // singleton batch takes the scalar QSVT path inside
-  // qsvt_solve_directions, so this performs the historical scalar loop's
-  // arithmetic in the same order (bitwise — the service determinism
-  // tests pin it).
+  // One-lane batch: Algorithm 2 lives once, in solve_qsvt_ir_batch, and
+  // a singleton batch replays each QSVT solve as a one-lane panel — the
+  // same arithmetic as qsvt_solve_direction (bitwise — the service
+  // determinism tests pin it).
   return std::move(
       solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(&b, 1), options)[0]);
 }

@@ -154,7 +154,8 @@ struct BatchSolveStats {
 /// the scalar loop does. Lanes drop out as they converge or stagnate, so
 /// later panels may run below full occupancy. Reports are ordered like
 /// `bs` and agree with per-RHS solve_qsvt_ir up to the panel kernels'
-/// vectorization-dependent rounding (bitwise on the scalar fallback).
+/// vectorization-dependent rounding (bitwise for the matrix-function
+/// backend and noisy contexts, which solve one RHS at a time).
 std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx,
                                               std::span<const linalg::Vector<double>> bs,
                                               const QsvtIrOptions& options,

@@ -1,8 +1,8 @@
 // Fusion-correctness tests for the execution engine: randomized circuits
 // (controls, negative controls, adjoints, diagonal and dense multi-qubit
-// payloads, global phases, swaps) executed through compile+Executor must
-// agree with gate-by-gate interpretation within precision tolerance, in
-// both float and double. Payload interning: a QSVT program stores each
+// payloads, global phases, swaps) compiled and replayed as a one-lane
+// panel must agree with gate-by-gate interpretation within precision
+// tolerance, in both float and double. Payload interning: a QSVT program stores each
 // distinct matrix once per tier, and sharing changes no result.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/dist/exchange_plan.hpp"
-#include "qsim/exec/executor.hpp"
+#include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
 #include "qsvt/solve.hpp"
@@ -137,6 +137,15 @@ qsim::Circuit random_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t gates
   return c;
 }
 
+// Replay a compiled program onto a register the way the compiled path
+// runs every singleton: as a one-lane panel.
+template <typename T>
+void replay(const qsim::exec::Program<T>& program, qsim::Statevector<T>& sv) {
+  qsim::exec::run_as_one_lane_panel(sv, [&](qsim::exec::StatePanel<T>& panel) {
+    qsim::exec::PanelExecutor<T>().run(program, panel);
+  });
+}
+
 // Spread amplitude over every basis state so controlled branches are all
 // exercised, then compare compiled vs interpreted execution.
 template <typename T>
@@ -149,7 +158,7 @@ double compiled_vs_interpreted(const qsim::Circuit& c, std::uint32_t width,
   qsim::Statevector<T> compiled = interpreted;
 
   interpreted.apply(c);
-  qsim::exec::Executor<T>().run(qsim::exec::compile<T>(c, options), compiled);
+  replay(qsim::exec::compile<T>(c, options), compiled);
 
   double worst = 0.0;
   for (std::size_t i = 0; i < interpreted.dim(); ++i) {
@@ -266,7 +275,7 @@ TEST(Exec, ControlledGlobalPhaseLowering) {
   interpreted.apply(spread);
   qsim::Statevector<double> compiled = interpreted;
   interpreted.apply(c_ref);
-  qsim::exec::Executor<double>().run(qsim::exec::compile<double>(c), compiled);
+  replay(qsim::exec::compile<double>(c), compiled);
   for (std::size_t i = 0; i < interpreted.dim(); ++i) {
     EXPECT_NEAR(compiled[i].real(), interpreted[i].real(), 1e-14);
     EXPECT_NEAR(compiled[i].imag(), interpreted[i].imag(), 1e-14);
@@ -280,7 +289,7 @@ TEST(Exec, PostCompileMeasurementMatchesInterpreter) {
   const auto c = random_circuit(rng, 5, 30);
   qsim::Statevector<double> a(5), b(5);
   a.apply(c);
-  qsim::exec::Executor<double>().run(qsim::exec::compile<double>(c), b);
+  replay(qsim::exec::compile<double>(c), b);
   EXPECT_NEAR(a.norm(), b.norm(), 1e-12);
   EXPECT_NEAR(a.probability(2, 1), b.probability(2, 1), 1e-12);
   EXPECT_NEAR(a.probability_all_zero({0, 3}), b.probability_all_zero({0, 3}), 1e-12);
@@ -389,17 +398,6 @@ TEST(PayloadInterning, InternedReplayIsBitwiseTheUnsharedReplay) {
     expect_interned_replay_matches_unshared<float>(lanes);
     expect_interned_replay_matches_unshared<double>(lanes);
   }
-  // The scalar executor too.
-  const auto& interned = qsvt_context().programs->get<double>();
-  const auto unshared = unshared_copy(interned);
-  qsim::Statevector<double> a(interned.num_qubits);
-  qsim::Circuit spread(interned.num_qubits);
-  for (std::uint32_t q = 0; q < interned.num_qubits; ++q) spread.h(q).rz(q, 0.37 * (q + 1));
-  a.apply(spread);
-  auto b = a;
-  qsim::exec::Executor<double>().run(interned, a);
-  qsim::exec::Executor<double>().run(unshared, b);
-  for (std::size_t i = 0; i < a.dim(); ++i) EXPECT_EQ(a[i], b[i]) << "amp " << i;
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Panel execution vs the scalar executor: replaying one compiled program
-// over a StatePanel must reproduce, lane by lane, what Executor<T> does to
-// the same initial states — for randomized circuits hitting every kernel
-// (1q, dense, diagonal, global phase, controls and negative controls), in
-// float and double, for ragged lane counts that are not powers of two,
-// and for the panel-wide reductions (norms, postselection) against their
-// Statevector counterparts. The wide dense ops (4-7 targets, the block
-// encoding's shape) are checked at every tier and a spread of widths
-// against the interpreter, and lane by lane for width independence.
+// Panel execution vs the gate interpreter: replaying one compiled program
+// over a StatePanel must reproduce, lane by lane, what
+// Statevector<T>::apply(Circuit) does to the same initial states — for
+// randomized circuits hitting every kernel (1q, dense, diagonal, global
+// phase, controls and negative controls), in float and double, for one
+// lane and for ragged lane counts that are not powers of two, and for the
+// panel-wide reductions (norms, postselection) against their Statevector
+// counterparts. The wide dense ops (4-7 targets, the block encoding's
+// shape) are checked at every tier and a spread of widths against the
+// interpreter, and lane by lane for width independence.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +18,6 @@
 #include "common/rng.hpp"
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
@@ -132,9 +132,9 @@ std::vector<std::complex<double>> random_state(Xoshiro256& rng, std::uint32_t n)
   return amps;
 }
 
-// Run `circuit` compiled over `lanes` random states, once per lane via
-// the scalar executor and once as a panel; return the worst per-lane
-// per-amplitude deviation.
+// Run `circuit` over `lanes` random states, once per lane through the
+// gate interpreter at precision T and once compiled as a panel; return
+// the worst per-lane per-amplitude deviation.
 template <typename T>
 double panel_vs_sequential(Xoshiro256& rng, const qsim::Circuit& circuit, std::uint32_t width,
                            std::size_t lanes) {
@@ -150,10 +150,9 @@ double panel_vs_sequential(Xoshiro256& rng, const qsim::Circuit& circuit, std::u
   qsim::exec::PanelExecutor<T>().run(program, panel);
 
   double worst = 0.0;
-  const qsim::exec::Executor<T> executor;
   for (std::size_t l = 0; l < lanes; ++l) {
     auto sv = qsim::Statevector<T>::from_amplitudes(width, states[l]);
-    executor.run(program, sv);
+    sv.apply(circuit);
     for (std::size_t i = 0; i < sv.dim(); ++i) {
       const auto got = panel.amp(i, l);
       worst = std::max(worst, std::abs(got - std::complex<double>(sv[i].real(), sv[i].imag())));
@@ -212,7 +211,7 @@ qsim::Circuit wide_dense_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t k
 }
 
 // Per-amplitude agreement with the double interpreter: each tier's
-// panel-vs-scalar tolerance, and for the f16 tier one binary16 unit
+// panel-vs-interpreter tolerance, and for the f16 tier one binary16 unit
 // roundoff (2^-11) of the unit-norm state.
 template <typename T>
 constexpr double tier_tolerance() {
@@ -336,8 +335,8 @@ TEST(PanelExec, ReductionsMatchStatevector) {
 }
 
 TEST(PanelExec, PostselectMatchesScalarFlipPath) {
-  // The scalar solve path X-flips the "must be one" qubit and then
-  // postselects everything to zero; the panel projects on zeros+ones
+  // The noise-trajectory solve path (a Statevector) X-flips the "must be
+  // one" qubit and then postselects everything to zero; the panel projects on zeros+ones
   // directly. Same projector: probabilities and surviving amplitudes
   // must agree.
   Xoshiro256 rng(76);
@@ -366,7 +365,7 @@ TEST(PanelExec, PostselectMatchesScalarFlipPath) {
     const double p = sv.postselect_zero(all_zeros);
     EXPECT_NEAR(probs[l], p, 1e-13) << "lane " << l;
     for (std::size_t i = 0; i < sv.dim(); ++i) {
-      if ((i & one_bit) != 0) continue;  // scalar survivors live at one_bit = 0 post-flip
+      if ((i & one_bit) != 0) continue;  // survivors live at one_bit = 0 post-flip
       const auto got = panel.amp(i | one_bit, l);
       const auto want = std::complex<double>(sv[i].real(), sv[i].imag());
       EXPECT_NEAR(std::abs(got - want), 0.0, 1e-12) << "lane " << l << " index " << i;

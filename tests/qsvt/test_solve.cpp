@@ -11,7 +11,8 @@
 #include "linalg/lu.hpp"
 #include "linalg/random_matrix.hpp"
 #include "qsim/exec/compile.hpp"
-#include "qsim/exec/executor.hpp"
+#include "qsim/exec/panel.hpp"
+#include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
 #include "qsvt/denormalize.hpp"
 #include "stateprep/kp_tree.hpp"
@@ -191,7 +192,8 @@ TEST(QsvtSolve, DirectStatePrepMatchesPreparationCircuit) {
   // The clean gate-level path embeds rhs_unit directly into the register;
   // the KP-tree circuit applied to |0…0> must produce the same state, so
   // the two pipelines must agree. This reference re-runs the old per-solve
-  // round trip (synthesize SP(b), compile it, replay) explicitly.
+  // round trip (synthesize SP(b), compile it, replay) explicitly, on the
+  // one-lane panel every compiled replay runs on.
   Xoshiro256 rng(34);
   const auto A = linalg::random_with_cond(rng, 8, 6.0);
   auto b = linalg::random_unit_vector(rng, 8);  // random signs included
@@ -207,9 +209,11 @@ TEST(QsvtSolve, DirectStatePrepMatchesPreparationCircuit) {
   const auto sp = stateprep::kp_state_preparation(unit);
   const QsvtCircuit& qc = *ctx.circuit;
   qsim::Statevector<double> sv(qc.circuit.num_qubits());
-  const qsim::exec::Executor<double> executor;
-  executor.run(qsim::exec::compile<double>(sp.circuit), sv);
-  executor.run(ctx.programs->get<double>(), sv);
+  qsim::exec::run_as_one_lane_panel(sv, [&](qsim::exec::StatePanel<double>& panel) {
+    const qsim::exec::PanelExecutor<double> executor;
+    executor.run(qsim::exec::compile<double>(sp.circuit), panel);
+    executor.run(ctx.programs->get<double>(), panel);
+  });
   qsim::Circuit flip(qc.circuit.num_qubits());
   flip.x(qc.realpart_qubit);
   sv.apply(flip);
@@ -285,7 +289,7 @@ TEST(QsvtSolve, PanelBatchSinglePrecision) {
   }
 }
 
-TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendAndSingletons) {
+TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendNotSingletons) {
   Xoshiro256 rng(37);
   const auto A = linalg::random_with_cond(rng, 8, 5.0);
   std::vector<linalg::Vector<double>> rhs;
@@ -298,7 +302,7 @@ TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendAndSingletons) {
   PanelExecStats stats;
   const auto batch =
       qsvt_solve_directions(ctx, std::span<const linalg::Vector<double>>(rhs), &stats);
-  EXPECT_EQ(stats.panels, 0u);  // scalar fallback: no panel sweeps
+  EXPECT_EQ(stats.panels, 0u);  // per-RHS fallback: no panel sweeps
   EXPECT_EQ(stats.lanes, 0u);
   for (std::size_t k = 0; k < rhs.size(); ++k) {
     const auto scalar = qsvt_solve_direction(ctx, rhs[k]);
@@ -314,8 +318,9 @@ TEST(QsvtSolve, PanelBatchFallsBackForMatrixBackendAndSingletons) {
   PanelExecStats gate_stats;
   const auto single = qsvt_solve_directions(
       gate_ctx, std::span<const linalg::Vector<double>>(rhs.data(), 1), &gate_stats);
-  EXPECT_EQ(gate_stats.panels, 0u);  // one lane: scalar path
-  const auto scalar = qsvt_solve_direction(gate_ctx, rhs[0]);
+  EXPECT_EQ(gate_stats.panels, 1u);  // a singleton is a one-lane panel
+  EXPECT_EQ(gate_stats.lanes, 1u);
+  const auto scalar = qsvt_solve_direction(gate_ctx, rhs[0]);  // the same one-lane panel
   for (std::size_t i = 0; i < scalar.direction.size(); ++i) {
     EXPECT_EQ(single[0].direction[i], scalar.direction[i]);
   }

@@ -1,7 +1,7 @@
 // SolverService end to end: batch solves share one prepared context and
-// (on the scalar per-RHS path) reproduce the single-solve path bitwise;
-// panelized jobs match the scalar path within kernel rounding and fall
-// back for scalar-only workloads; concurrent scheduling does not perturb
+// (on the per-RHS path, one-lane panels) reproduce the single-solve path
+// bitwise; panelized jobs match the per-RHS path within kernel rounding
+// and fall back to it for per-RHS-only workloads; concurrent scheduling does not perturb
 // results under a fixed seed; the cache spans jobs; async submit works.
 // (Bitwise holds at a fixed OpenMP thread count: registers of >= 2^15
 // amplitudes reduce norms/probabilities in parallel, and the summation
@@ -55,7 +55,7 @@ TEST(SolverService, BatchMatchesSequentialBitwise) {
   std::vector<solver::QsvtIrReport> reference;
   for (const auto& b : req.rhs) reference.push_back(solver::solve_qsvt_ir(ctx, b, req.options));
 
-  // panel_width 1 pins the scalar per-RHS path: this test asserts that
+  // panel_width 1 pins the per-RHS path: this test asserts that
   // concurrent scheduling alone never perturbs results. Panel execution
   // has its own parity test below (tolerance — the lane-vectorized
   // kernels round differently).
@@ -82,8 +82,8 @@ TEST(SolverService, BatchMatchesSequentialBitwise) {
 
 TEST(SolverService, PanelizedJobMatchesScalarPath) {
   // 5 right-hand sides at panel width 4: one full panel plus a singleton
-  // tail (which falls back to the scalar path), so this also covers the
-  // ragged-batch grouping.
+  // tail (a one-lane panel group), so this also covers the ragged-batch
+  // grouping.
   const auto req = make_request("panel-vs-scalar", 8, 5, 500);
 
   SolverService scalar(
@@ -109,8 +109,9 @@ TEST(SolverService, PanelizedJobMatchesScalarPath) {
     EXPECT_EQ(g.converged, w.converged) << "rhs " << k;
     ASSERT_EQ(g.x.size(), w.x.size());
     for (std::size_t i = 0; i < w.x.size(); ++i) {
-      // The lane-vectorized kernels perform the scalar path's arithmetic
-      // per lane but round through different instruction sequences.
+      // A one-lane panel and a 4-lane panel sum the wide dense op in a
+      // different order (dot product vs register tile), so lanes agree
+      // within rounding, not bitwise.
       EXPECT_NEAR(g.x[i], w.x[i], 1e-9) << "rhs " << k << " component " << i;
     }
     EXPECT_EQ(g.solves.size(), w.solves.size()) << "rhs " << k;
@@ -131,7 +132,7 @@ TEST(SolverService, PanelFallsBackForScalarOnlyWorkloads) {
       service.solve(make_request("matrix", 8, 3, 700, qsvt::Backend::kMatrixFunction));
   EXPECT_EQ(matrix.panels_executed, 0u);
 
-  // Shot-seeded readout: the scalar path keeps historical RNG consumption.
+  // Shot-seeded readout: per-RHS tasks keep historical RNG consumption.
   auto shots = make_request("shots", 8, 3, 800);
   shots.options.eps = 1e-2;
   shots.options.max_iterations = 8;

@@ -125,8 +125,8 @@ TEST(QsvtIr, CommLogFollowsFigureOne) {
 
 TEST(QsvtIr, BatchLockstepMatchesScalarRefinement) {
   // One lockstep batch over 5 right-hand sides (panel sweeps under the
-  // hood) must reproduce the 5 scalar refinement runs: same iteration
-  // counts, comm timelines and — up to the panel kernels' rounding — the
+  // hood) must reproduce the 5 per-RHS refinement runs: same iteration
+  // counts, comm timelines and — up to one-lane vs multi-lane rounding — the
   // same solutions and residual histories.
   Xoshiro256 rng(48);
   const auto A = linalg::random_with_cond(rng, 16, 10.0);
@@ -342,7 +342,7 @@ TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
               static_cast<std::uint64_t>(rep.iterations))
         << "lane " << k;
   }
-  // The scalar adaptive run agrees on the solution (panel kernels round
+  // The per-RHS adaptive run agrees on the solution (one-lane panels round
   // differently, so compare to tolerance, not bitwise).
   for (std::size_t k = 0; k < bs.size(); ++k) {
     const auto want = solve_qsvt_ir(ctx, bs[k], options);
