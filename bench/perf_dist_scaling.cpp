@@ -41,7 +41,6 @@
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/dist/dist_executor.hpp"
-#include "qsim/exec/dist/dist_state.hpp"
 #include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
 #include "qsim/exec/panel.hpp"
@@ -131,16 +130,15 @@ DistRun run_dist(const dist::ExchangePlan& plan, std::uint32_t world_log2,
     programs.push_back(dist::specialize_rank<double>(plan, r));
   }
 
-  std::vector<dist::DistState<double>> shards;
-  for (std::uint32_t r = 0; r < world; ++r) shards.emplace_back(n, world_log2, r);
+  // One-lane StatePanel shards over the local qubits; rank r holds global
+  // amplitudes (r << local_qubits) | i.
+  std::vector<StatePanel<double>> shards;
+  for (std::uint32_t r = 0; r < world; ++r) shards.emplace_back(plan.local_qubits, 1);
 
   for (int rep = 0; rep < reps; ++rep) {
-    for (auto& st : shards) {
-      const std::uint64_t base = st.base_index();
-      for (std::size_t i = 0; i < st.dim(); ++i) {
-        st.re()[i] = init[base + i].real();
-        st.im()[i] = init[base + i].imag();
-      }
+    for (std::uint32_t r = 0; r < world; ++r) {
+      const std::uint64_t base = std::uint64_t{r} << plan.local_qubits;
+      for (std::size_t i = 0; i < shards[r].dim(); ++i) shards[r].set_amp(i, 0, init[base + i]);
     }
     dist::LocalPeerGroup group(world);
     std::vector<dist::DistRunMetrics> metrics(world);
@@ -172,7 +170,7 @@ DistRun run_dist(const dist::ExchangePlan& plan, std::uint32_t world_log2,
   }
 
   for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
-    const auto got = shards[g >> plan.local_qubits].amp_global(g);
+    const auto got = shards[g >> plan.local_qubits].amp(g & (shards[0].dim() - 1), 0);
     out.max_diff = std::fmax(out.max_diff, std::abs(got - want[g]));
   }
   return out;

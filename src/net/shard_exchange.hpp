@@ -6,6 +6,12 @@
 // independent HTTP requests, so both ranks of a pair can post
 // concurrently and neither end ever holds a connection open waiting.
 //
+// An exchange larger than the daemon's body cap (minus the frame
+// overhead) is split: piece k of exchange `seq` travels as frame seq
+// (seq << 16) | k and is awaited in order. The members of a group are
+// assumed to share the cap, so both sides cut identically; a mismatch
+// fails the exchange with a size error rather than corrupting it.
+//
 // One channel serves one job on one rank: construction registers the
 // shard group with the hub (what /v1/healthz reports), destruction
 // clears any parked payloads and unregisters it. Like every
@@ -27,10 +33,11 @@ namespace mpqls::net {
 class HttpPeerChannel : public qsim::exec::dist::PeerChannel {
  public:
   /// `shard` names this rank's place in the group; `hub` must outlive the
-  /// channel (the daemon owns both). `await_timeout` bounds how long an
-  /// exchange waits for the peer's mirrored frame.
+  /// channel (the daemon owns both). `max_body_bytes` is the daemon's
+  /// request body cap, which the peers share. `await_timeout` bounds how
+  /// long an exchange waits for each of the peer's mirrored frames.
   HttpPeerChannel(service::ShardSpec shard, qsim::exec::dist::ShardHub& hub,
-                  Deadlines deadlines = {},
+                  std::size_t max_body_bytes, Deadlines deadlines = {},
                   std::chrono::milliseconds await_timeout = std::chrono::milliseconds(60000));
   ~HttpPeerChannel() override;
 
@@ -45,6 +52,7 @@ class HttpPeerChannel : public qsim::exec::dist::PeerChannel {
 
   service::ShardSpec shard_;
   qsim::exec::dist::ShardHub& hub_;
+  std::size_t frame_budget_;  ///< payload bytes per frame
   Deadlines deadlines_;
   std::chrono::milliseconds await_timeout_;
   std::vector<std::unique_ptr<HttpClient>> clients_;  ///< per peer rank, lazy

@@ -1,22 +1,30 @@
-// Replays a rank-specialized plan against one shard. Local runs go
-// straight through `panel_apply_op<1, T>` — the identical kernel bodies a
-// single-node one-lane StatePanel replay executes, which is what makes
-// the distributed double path bitwise-comparable to single-node replay.
+// Replays a rank-specialized plan against one shard. A shard is a
+// StatePanel<T> over the rank's m local qubits — one lane per RHS, the
+// layout single-node replay uses — and every op runs through
+// PanelExecutor<T>, so shards take the same kernel instantiation at every
+// lane width (1/2/4/8/16 and the runtime width) that a single-node panel
+// of that width takes. That is what makes distributed replay
+// bitwise-comparable to single-node replay.
+//
+// The shard covers global amplitudes g = (rank << m) | i: the k highest
+// qubits of the n-qubit register select the rank. The replay starts from
+// whatever the caller loaded into the shard.
 //
 // An exchange step with h partition-qubit targets assembles the widened
-// 2^(m+h) register from the 2^h partner shards with an h-round butterfly
-// allgather (round j swaps everything held so far with the partner across
-// rank bit peer_bits[j]), applies the step's single wide op through the
-// same panel kernels (partition targets remapped to qubits m..m+h-1, so
-// the wide pairs are exactly the global pairs), and copies this rank's
-// slot back out. Every partner computes the full wide update — 2^h-fold
-// redundant flops, but h <= max_fuse_qubits keeps that small and it buys
-// zero post-exchange synchronization.
+// 2^(m+h)-amplitude panel from the 2^h partner shards with an h-round
+// butterfly allgather (round j swaps every slot held so far with the
+// partner across rank bit peer_bits[j]), applies the step's single wide
+// op (partition targets remapped to qubits m..m+h-1, so the wide pairs
+// are exactly the global pairs), and copies this rank's slot back out.
+// Every partner computes the full wide update — 2^h-fold redundant flops,
+// but h <= max_fuse_qubits keeps that small and it buys zero
+// post-exchange synchronization.
 //
-// Exchange payload layout: per slot, the re plane then the im plane, in
-// the sender's ascending slot order (slot = the partition-target bit
-// pattern the data belongs to — identical on both sides, so no further
-// negotiation).
+// Slot s of the widened panel is the shard whose partition-target bits
+// are s. Lanes are innermost, so a slot is one contiguous block of
+// dim * lanes elements per plane. Exchange payload layout: per slot, its
+// re block then its im block, in the sender's ascending slot order (the
+// same on both sides, so no further negotiation).
 #pragma once
 
 #include <algorithm>
@@ -26,10 +34,10 @@
 
 #include "common/contracts.hpp"
 #include "common/timer.hpp"
-#include "qsim/exec/dist/dist_state.hpp"
 #include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
-#include "qsim/exec/kernels.hpp"
+#include "qsim/exec/panel.hpp"
+#include "qsim/exec/panel_executor.hpp"
 
 namespace mpqls::qsim::exec::dist {
 
@@ -42,23 +50,18 @@ struct DistRunMetrics {
 };
 
 template <typename T>
-void run_rank_program(const RankProgram<T>& rp, DistState<T>& state, PeerChannel& channel,
+void run_rank_program(const RankProgram<T>& rp, StatePanel<T>& shard, PeerChannel& channel,
                       std::uint64_t& seq, DistRunMetrics* metrics = nullptr) {
-  using C = exec_compute_t<T>;
-  expects(state.local_qubits() == rp.local_qubits && state.rank() == rp.rank,
-          "dist exec: plan/state shape mismatch");
-  const std::size_t dim = state.dim();
-  const std::int64_t n = static_cast<std::int64_t>(dim);
-  std::vector<C> scratch;
-  std::vector<T> wide_re, wide_im;
+  expects(shard.num_qubits() == rp.local_qubits, "dist exec: plan/shard shape mismatch");
+  PanelExecutor<T> executor;
+  // One slot's worth of one plane: every lane of every local amplitude.
+  const std::size_t block = shard.dim() * shard.lanes();
   std::vector<T> sendbuf, recvbuf;
 
   for (const auto& step : rp.steps) {
     {
       Timer timer;
-      for (const auto& op : step.local.ops) {
-        kernels::panel_apply_op<1>(op, state.re(), state.im(), n, 1, scratch);
-      }
+      executor.run(step.local, shard);
       if (metrics) metrics->local_seconds += timer.seconds();
     }
     if (!step.has_exchange) continue;
@@ -72,32 +75,33 @@ void run_rank_program(const RankProgram<T>& rp, DistState<T>& state, PeerChannel
 
     Timer timer;
     const std::uint32_t h = static_cast<std::uint32_t>(step.peer_bits.size());
-    const std::size_t slots = std::size_t{1} << h;
-    wide_re.assign(dim * slots, T{});
-    wide_im.assign(dim * slots, T{});
+    StatePanel<T> wide(rp.local_qubits + h, shard.lanes());
+    auto copy_slot = [&](const T* re, const T* im, std::uint32_t slot) {
+      std::memcpy(wide.re() + slot * block, re, block * sizeof(T));
+      std::memcpy(wide.im() + slot * block, im, block * sizeof(T));
+    };
 
     // My slot: the partition-target bits of this rank.
     std::uint32_t myslot = 0;
     for (std::uint32_t j = 0; j < h; ++j) {
       if ((rp.rank >> step.peer_bits[j]) & 1u) myslot |= 1u << j;
     }
-    std::memcpy(wide_re.data() + myslot * dim, state.re(), dim * sizeof(T));
-    std::memcpy(wide_im.data() + myslot * dim, state.im(), dim * sizeof(T));
+    copy_slot(shard.re(), shard.im(), myslot);
 
     // Butterfly allgather of the partner shards.
     std::vector<std::uint32_t> held{myslot};
     for (std::uint32_t j = 0; j < h; ++j) {
       const std::uint32_t peer = rp.rank ^ (1u << step.peer_bits[j]);
       const std::size_t batch = held.size();
-      const std::size_t plane_bytes = dim * sizeof(T);
-      sendbuf.resize(batch * dim * 2);
+      sendbuf.resize(batch * block * 2);
       for (std::size_t i = 0; i < batch; ++i) {
-        std::memcpy(sendbuf.data() + i * dim * 2, wide_re.data() + held[i] * dim, plane_bytes);
-        std::memcpy(sendbuf.data() + i * dim * 2 + dim, wide_im.data() + held[i] * dim,
-                    plane_bytes);
+        std::memcpy(sendbuf.data() + i * block * 2, wide.re() + held[i] * block,
+                    block * sizeof(T));
+        std::memcpy(sendbuf.data() + i * block * 2 + block, wide.im() + held[i] * block,
+                    block * sizeof(T));
       }
-      recvbuf.resize(batch * dim * 2);
-      const std::size_t bytes = batch * dim * 2 * sizeof(T);
+      recvbuf.resize(batch * block * 2);
+      const std::size_t bytes = batch * block * 2 * sizeof(T);
       channel.exchange(peer, seq++, sendbuf.data(), recvbuf.data(), bytes);
       // The peer's held set is mine mirrored across bit j, sent in its
       // ascending order; mirroring preserves the relative order of a set
@@ -106,9 +110,8 @@ void run_rank_program(const RankProgram<T>& rp, DistState<T>& state, PeerChannel
       for (std::size_t i = 0; i < batch; ++i) theirs[i] = held[i] ^ (1u << j);
       std::sort(theirs.begin(), theirs.end());
       for (std::size_t i = 0; i < batch; ++i) {
-        std::memcpy(wide_re.data() + theirs[i] * dim, recvbuf.data() + i * dim * 2, plane_bytes);
-        std::memcpy(wide_im.data() + theirs[i] * dim, recvbuf.data() + i * dim * 2 + dim,
-                    plane_bytes);
+        const T* re = recvbuf.data() + i * block * 2;
+        copy_slot(re, re + block, theirs[i]);
       }
       held.insert(held.end(), theirs.begin(), theirs.end());
       std::sort(held.begin(), held.end());
@@ -118,12 +121,9 @@ void run_rank_program(const RankProgram<T>& rp, DistState<T>& state, PeerChannel
       }
     }
 
-    for (const auto& op : step.wide.ops) {
-      kernels::panel_apply_op<1>(op, wide_re.data(), wide_im.data(),
-                                 static_cast<std::int64_t>(dim * slots), 1, scratch);
-    }
-    std::memcpy(state.re(), wide_re.data() + myslot * dim, dim * sizeof(T));
-    std::memcpy(state.im(), wide_im.data() + myslot * dim, dim * sizeof(T));
+    executor.run(step.wide, wide);
+    std::memcpy(shard.re(), wide.re() + myslot * block, block * sizeof(T));
+    std::memcpy(shard.im(), wide.im() + myslot * block, block * sizeof(T));
     if (metrics) metrics->exchange_seconds += timer.seconds();
   }
 }

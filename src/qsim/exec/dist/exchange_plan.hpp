@@ -35,8 +35,8 @@
 //     fusion: 2 exchange rounds per gadget collapse to 0, and the 2d+1
 //     local runs between them collapse into one.
 //
-// Bitwise parity: replaying a plan reproduces a single-node one-lane
-// panel replay of the same FusedIr *bit for bit* whenever no op changed
+// Bitwise parity: replaying a plan reproduces a single-node panel replay
+// of the same FusedIr at the same lane width *bit for bit* whenever no op changed
 // kernel class, i.e. stats.demoted_diagonal == 0 and conjugated_ops == 0
 // — local ops, payload-sliced diagonals, and widened exchange ops all run
 // through the identical kernel instantiation on identical values. That

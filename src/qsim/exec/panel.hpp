@@ -13,6 +13,9 @@
 // with its own accumulator in amplitude-index order, so each lane's
 // result matches what a standalone Statevector<T> of the same amplitudes
 // would produce (up to the usual vectorization-dependent rounding).
+//
+// A rank's shard of a distributed register (qsim/exec/dist) is a
+// StatePanel over the rank's local qubits.
 #pragma once
 
 #include <cmath>
@@ -120,6 +123,18 @@ class StatePanel {
   std::vector<double> postselect(const std::vector<std::uint32_t>& zeros,
                                  const std::vector<std::uint32_t>& ones) {
     const auto p = probability_match(zeros, ones);
+    postselect_scale(zeros, ones, p);
+    return p;
+  }
+
+  /// The projection half of postselect, for a caller that already holds
+  /// the per-lane probabilities `p` — a shard of a distributed register
+  /// scales by the group's allreduced p, not by its own partial. Matching
+  /// amplitudes are scaled by 1/sqrt(p[l]) rounded to T once per lane;
+  /// the rest are zeroed.
+  void postselect_scale(const std::vector<std::uint32_t>& zeros,
+                        const std::vector<std::uint32_t>& ones, const std::vector<double>& p) {
+    expects(p.size() == lanes_, "panel postselect: one probability per lane");
     std::vector<T> inv(lanes_);
     for (std::size_t l = 0; l < lanes_; ++l) {
       expects(p[l] > 0.0, "panel postselect: zero-probability branch");
@@ -146,7 +161,6 @@ class StatePanel {
         }
       }
     }
-    return p;
   }
 
  private:

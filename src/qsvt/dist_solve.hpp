@@ -1,21 +1,23 @@
 // Distributed gate-level QSVT solves: one rank's view of a shard-group
-// solve. Each of the W = 2^k workers holds a DistState shard of the QSVT
-// register (k top qubits partition the amplitudes), replays the rank's
-// slice of the context's compiled program (exchange_plan.hpp), and
-// reduces postselection probability, direction amplitudes, and imaginary
-// mass across the group with a deterministic allreduce. Every rank
-// computes the full classical epilogue (normalization, outcome assembly)
-// on the identical allreduced values, so every rank returns the identical
-// QsvtSolveOutcome — which is what lets the adaptive-precision refinement
-// loop above run unchanged and stay in lockstep with zero extra
-// synchronization: identical outcomes drive identical tier decisions.
+// solve. Each of the W = 2^k workers holds a StatePanel shard of the QSVT
+// register (k top qubits partition the amplitudes; one lane per RHS),
+// replays the rank's slice of the context's compiled program
+// (exchange_plan.hpp) once per chunk of RHS, and reduces postselection
+// probabilities, direction amplitudes, and imaginary masses across the
+// group with a deterministic allreduce. Every rank computes the full
+// classical epilogue on the identical allreduced values, so every rank
+// returns the identical QsvtSolveOutcomes — which is what lets the
+// adaptive-precision refinement loop above run unchanged and stay in
+// lockstep with zero extra synchronization: identical outcomes drive
+// identical tier decisions.
 //
 // Bitwise parity with single-node replay: the postselected subspace fixes
 // the register's top qubits (realpart=1, signal=0, BE ancillas=0), so for
 // world sizes that partition only those qubits the surviving amplitudes —
 // and the reduction partials — live on exactly one rank; the other ranks
-// contribute exact zeros and the double-path outcome equals the one-lane
-// panel solve bit for bit (see exchange_plan.hpp for the replay side).
+// contribute exact zeros, and a chunk's outcomes equal the single-node
+// panel solve of the same lanes bit for bit (see exchange_plan.hpp for
+// the replay side).
 //
 // A session serves ONE job: it binds to the job's solver context on first
 // use, compiles the exchange plan once, specializes per-tier rank
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "qsim/exec/dist/dist_executor.hpp"
@@ -36,6 +39,12 @@
 #include "qsvt/solve.hpp"
 
 namespace mpqls::qsvt::dist {
+
+/// Lanes per shard sweep. Every rank of a group must chunk a batch
+/// identically, so this is a constant rather than a worker's panel width;
+/// it also caps a rank's register at what an adaptive single-node panel
+/// holds.
+inline constexpr std::size_t kMaxDistLanes = 16;
 
 struct DistConfig {
   std::uint32_t rank = 0;
@@ -50,8 +59,8 @@ struct DistSolveStats {
   std::uint64_t bytes_moved = 0;
   double exchange_seconds = 0.0;
   double local_seconds = 0.0;
-  std::uint64_t plan_naive_rounds = 0;      ///< per replay, before scheduling
-  std::uint64_t plan_scheduled_rounds = 0;  ///< per replay, as executed
+  std::uint64_t plan_naive_rounds = 0;      ///< per sweep, before scheduling
+  std::uint64_t plan_scheduled_rounds = 0;  ///< per sweep, as executed
 };
 
 class DistSolveSession {
@@ -63,18 +72,20 @@ class DistSolveSession {
   std::uint32_t world_log2() const { return config_.world_log2; }
 
   /// Drop-in for qsvt_solve_directions on the gate-level panel path: solve
-  /// every right-hand side (one replay each, lockstep across ranks) at the
-  /// given concrete tier. Binds to `ctx` on first call; later calls must
-  /// pass the same context.
+  /// every right-hand side at the given concrete tier, one shard sweep
+  /// (lockstep across ranks) per chunk of at most kMaxDistLanes lanes.
+  /// Counts one panel per sweep in `stats`. Binds to `ctx` on first call;
+  /// later calls must pass the same context.
   std::vector<QsvtSolveOutcome> solve_directions(
       const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs,
-      QpuPrecision tier);
+      PanelExecStats* stats, QpuPrecision tier);
 
   const DistSolveStats& stats() const { return stats_; }
 
  private:
   template <typename T>
-  QsvtSolveOutcome solve_one(const QsvtSolverContext& ctx, const linalg::Vector<double>& rhs);
+  void sweep(const QsvtSolverContext& ctx, std::span<const linalg::Vector<double>* const> rhs,
+             QpuPrecision tier, std::vector<QsvtSolveOutcome>& out);
   void bind(const QsvtSolverContext& ctx);
   template <typename T>
   const qsim::exec::dist::RankProgram<T>& rank_program();

@@ -298,7 +298,8 @@ QsvtSolveOutcome run_matrix_function(const QsvtSolverContext& ctx,
 /// its execution backend, and each lane is post-selected and extracted.
 template <typename T>
 std::vector<QsvtSolveOutcome> run_gate_level_panel(
-    const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs) {
+    const QsvtSolverContext& ctx, const std::vector<const linalg::Vector<double>*>& rhs,
+    QpuPrecision tier) {
   const QsvtCircuit& qc = *ctx.circuit;
   const std::uint32_t width = qc.circuit.num_qubits();
   const std::size_t N = ctx.A.rows();
@@ -317,27 +318,18 @@ std::vector<QsvtSolveOutcome> run_gate_level_panel(
   const auto probs = panel.postselect(zeros, {qc.realpart_qubit});
   const std::size_t rp_bit = std::size_t{1} << qc.realpart_qubit;
 
-  std::vector<QsvtSolveOutcome> out(B);
+  std::vector<QsvtSolveOutcome> out;
+  out.reserve(B);
   for (std::size_t lane = 0; lane < B; ++lane) {
-    auto& o = out[lane];
-    o.direction.resize(N);
+    linalg::Vector<double> direction(N);
     double imag_mass = 0.0;
     for (std::size_t i = 0; i < N; ++i) {
       const auto a = panel.amp(i | rp_bit, lane);
-      o.direction[i] = a.real();
+      direction[i] = a.real();
       imag_mass += a.imag() * a.imag();
     }
-    // Half-precision storage rounds each amplitude at ~2^-11 relative, so
-    // residual imaginary mass sits orders of magnitude above the
-    // float/double tiers'; the convention check just needs a looser gate.
-    constexpr double imag_tol = std::is_same_v<T, qsim::exec::f16> ? 1e-2 : 1e-6;
-    ensures(imag_mass < imag_tol, "qsvt panel backend: unexpected imaginary amplitudes");
-    const double n = linalg::nrm2(o.direction);
-    expects(n > 0.0, "qsvt panel backend: zero-probability postselection");
-    for (auto& x : o.direction) x /= n;
-    o.success_probability = probs[lane];
-    o.be_calls = qc.be_calls;
-    o.circuit_gates = qc.circuit.size() + ctx.sp_circuit_gates;
+    out.push_back(
+        finish_gate_level_lane(ctx, tier, std::move(direction), imag_mass, probs[lane]));
   }
   return out;
 }
@@ -350,13 +342,13 @@ std::vector<QsvtSolveOutcome> run_compiled(const QsvtSolverContext& ctx,
   std::vector<QsvtSolveOutcome> out;
   switch (tier) {
     case QpuPrecision::kHalf:
-      out = run_gate_level_panel<qsim::exec::f16>(ctx, rhs);
+      out = run_gate_level_panel<qsim::exec::f16>(ctx, rhs, tier);
       break;
     case QpuPrecision::kSingle:
-      out = run_gate_level_panel<float>(ctx, rhs);
+      out = run_gate_level_panel<float>(ctx, rhs, tier);
       break;
     default:
-      out = run_gate_level_panel<double>(ctx, rhs);
+      out = run_gate_level_panel<double>(ctx, rhs, tier);
       break;
   }
   for (auto& o : out) apply_shot_noise(o.direction, ctx.options.shots, ctx.options.seed);
@@ -364,6 +356,22 @@ std::vector<QsvtSolveOutcome> run_compiled(const QsvtSolverContext& ctx,
 }
 
 }  // namespace
+
+QsvtSolveOutcome finish_gate_level_lane(const QsvtSolverContext& ctx, QpuPrecision tier,
+                                        linalg::Vector<double> direction, double imag_mass,
+                                        double success_probability) {
+  const double imag_tol = tier == QpuPrecision::kHalf ? 1e-2 : 1e-6;
+  ensures(imag_mass < imag_tol, "qsvt gate-level solve: unexpected imaginary amplitudes");
+  const double n = linalg::nrm2(direction);
+  expects(n > 0.0, "qsvt gate-level solve: zero-probability postselection");
+  for (auto& x : direction) x /= n;
+  QsvtSolveOutcome out;
+  out.direction = std::move(direction);
+  out.success_probability = success_probability;
+  out.be_calls = ctx.circuit->be_calls;
+  out.circuit_gates = ctx.circuit->circuit.size() + ctx.sp_circuit_gates;
+  return out;
+}
 
 const qsim::exec::ProgramStats* compiled_program_stats(const QsvtSolverContext& ctx) {
   return ctx.programs ? &ctx.programs->ir().stats : nullptr;

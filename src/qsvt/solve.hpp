@@ -132,6 +132,16 @@ struct QsvtSolveOutcome {
   std::uint64_t circuit_gates = 0;   ///< gate count of the executed circuit
 };
 
+/// The per-lane tail of every clean gate-level solve, single-node and
+/// distributed: gate the imaginary mass the real-part readout leaves (the
+/// half tier's storage rounds each amplitude at ~2^-11 relative, so its
+/// gate is looser), normalize the extracted real parts, and fill the
+/// outcome. `direction` holds the postselected real parts, `imag_mass` the
+/// sum of their squared imaginary parts.
+QsvtSolveOutcome finish_gate_level_lane(const QsvtSolverContext& ctx, QpuPrecision tier,
+                                        linalg::Vector<double> direction, double imag_mass,
+                                        double success_probability);
+
 /// Solve A x ~ rhs (rhs need not be normalized) for the direction of x.
 QsvtSolveOutcome qsvt_solve_direction(const QsvtSolverContext& ctx,
                                       const linalg::Vector<double>& rhs);

@@ -1,7 +1,6 @@
 #include "solver/qsvt_ir.hpp"
 
 #include <cmath>
-#include <functional>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
@@ -191,22 +190,16 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
 
   qsvt::PanelExecStats pstats;
 
-  // Algorithm 2's one QPU entry point, chosen once: this rank's shard of
-  // the register when the job is distributed, the local panel path
-  // otherwise. Either way a batch of right-hand sides goes in and one
-  // outcome per RHS comes back at the requested tier.
+  // Algorithm 2's one QPU entry point: this rank's shard of the register
+  // when the job is distributed, the local panel path otherwise. Either
+  // way a batch of right-hand sides goes in, one outcome per RHS comes
+  // back at the requested tier, and every sweep counts into `pstats`.
   using DirectionBatch = std::vector<const linalg::Vector<double>*>;
-  std::function<std::vector<qsvt::QsvtSolveOutcome>(const DirectionBatch&, int)>
-      solve_directions;
-  if (options.dist) {
-    solve_directions = [&](const DirectionBatch& batch, int tier) {
-      return options.dist->solve_directions(ctx, batch, tier_precision(tier));
-    };
-  } else {
-    solve_directions = [&](const DirectionBatch& batch, int tier) {
-      return qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(tier));
-    };
-  }
+  auto solve_directions = [&](const DirectionBatch& batch, int tier) {
+    return options.dist
+               ? options.dist->solve_directions(ctx, batch, &pstats, tier_precision(tier))
+               : qsvt::qsvt_solve_directions(ctx, batch, &pstats, tier_precision(tier));
+  };
 
   // --- First solve on every lane: x_0 = mu_0 * eta_0, one panel sweep ---
   // All lanes share the initial tier, so this is a single tier group.

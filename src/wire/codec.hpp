@@ -88,6 +88,10 @@ struct ShardExchange {
   std::string payload;
 };
 
+/// Bytes a kShardExchange frame adds around its payload: the frame
+/// header plus group, from, seq and the payload length.
+inline constexpr std::size_t kShardExchangeOverheadBytes = kFrameHeaderBytes + 8 + 4 + 8 + 8;
+
 std::string encode_shard_exchange(std::uint64_t group, std::uint32_t from, std::uint64_t seq,
                                   std::string_view payload);
 ShardExchange decode_shard_exchange(std::string_view frame);

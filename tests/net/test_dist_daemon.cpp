@@ -6,7 +6,8 @@
 // dist telemetry must surface in the result JSON, /v1/healthz and
 // /v1/metrics, and the memory-wall contract must hold over HTTP: a
 // qubit-capped daemon answers 413 for a too-wide single-node job yet
-// completes the same job as a member of a 4-worker shard group.
+// completes the same job as a member of a 4-worker shard group. Exchanges
+// larger than the daemons' body cap travel as several frames.
 #include "net/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -40,7 +41,7 @@ DaemonOptions worker_options(std::size_t qubit_cap = 0) {
 
 /// The rank-r job body for a W-member group over `ports`.
 std::string shard_job(std::size_t n, std::uint32_t rank,
-                      const std::vector<std::uint16_t>& ports) {
+                      const std::vector<std::uint16_t>& ports, std::uint64_t rhs_count = 1) {
   Json shard = Json::object();
   shard["group"] = std::string("00000000deadbeef");
   shard["rank"] = static_cast<std::uint64_t>(rank);
@@ -59,7 +60,7 @@ std::string shard_job(std::size_t n, std::uint32_t rank,
   j["matrix"] = std::move(matrix);
   Json rhs = Json::object();
   rhs["kind"] = std::string("random");
-  rhs["count"] = static_cast<std::uint64_t>(1);
+  rhs["count"] = rhs_count;
   rhs["seed"] = static_cast<std::uint64_t>(78);
   j["rhs"] = std::move(rhs);
   Json qsvt = Json::object();
@@ -92,7 +93,7 @@ Json poll_done(HttpClient& client, const std::string& job_id,
 
 /// Submit rank r's job to daemon r for every rank, then poll all to done.
 std::vector<Json> run_shard_group(std::vector<std::unique_ptr<SolverDaemon>>& daemons,
-                                  std::size_t n) {
+                                  std::size_t n, std::uint64_t rhs_count = 1) {
   std::vector<std::uint16_t> ports;
   for (const auto& d : daemons) ports.push_back(d->port());
   const std::uint32_t world = static_cast<std::uint32_t>(daemons.size());
@@ -100,7 +101,7 @@ std::vector<Json> run_shard_group(std::vector<std::unique_ptr<SolverDaemon>>& da
   std::vector<std::string> ids(world);
   for (std::uint32_t r = 0; r < world; ++r) {
     HttpClient client("127.0.0.1", ports[r]);
-    const auto response = client.post("/v1/jobs", shard_job(n, r, ports));
+    const auto response = client.post("/v1/jobs", shard_job(n, r, ports, rhs_count));
     EXPECT_EQ(response.status, 202) << response.body;
     ids[r] = Json::parse(response.body).at("job_id").as_string();
   }
@@ -187,6 +188,44 @@ TEST(DistDaemon, QubitCapAnswers413UntilTheGroupIsLargeEnough) {
   for (std::uint32_t r = 0; r < 4; ++r) {
     EXPECT_TRUE(statuses[r].at("result").at("all_converged").as_bool()) << "rank " << r;
     EXPECT_EQ(statuses[r].at("result").at("dist").at("shard_world").as_uint(), 4u);
+  }
+  for (auto& daemon : daemons) daemon->drain(5000ms);
+}
+
+TEST(DistDaemon, ExchangeFramesSplitToFitTheBodyCap) {
+  // n = 32 embeds as 8 circuit qubits; at W = 2 a rank's shard is 2^7
+  // amplitudes, so one lane of one exchange is 2 KiB of doubles and the
+  // 4-RHS sweep ships 8 KiB per round. A 1 KiB body cap still admits the
+  // job body but no whole exchange frame: the channel must cut every
+  // exchange (and the allreduces) into frames under the cap.
+  constexpr std::size_t kCap = 1024;
+  std::vector<std::unique_ptr<SolverDaemon>> daemons;
+  for (int i = 0; i < 2; ++i) {
+    auto options = worker_options();
+    options.limits.max_body_bytes = kCap;
+    daemons.push_back(std::make_unique<SolverDaemon>(options));
+    daemons.back()->start();
+  }
+  ASSERT_LT(shard_job(32, 1, {daemons[0]->port(), daemons[1]->port()}, 4).size(), kCap);
+  ASSERT_GT(std::size_t{128} * 2 * sizeof(double) + wire::kShardExchangeOverheadBytes, kCap);
+
+  const auto statuses = run_shard_group(daemons, 32, 4);
+  const auto& s0 = statuses[0].at("result").at("solves").as_array();
+  const auto& s1 = statuses[1].at("result").at("solves").as_array();
+  ASSERT_EQ(s0.size(), 4u);
+  ASSERT_EQ(s1.size(), 4u);
+  for (std::size_t k = 0; k < s0.size(); ++k) {
+    const auto& x0 = s0[k].at("report").at("x").as_array();
+    const auto& x1 = s1[k].at("report").at("x").as_array();
+    ASSERT_EQ(x0.size(), 32u);
+    ASSERT_EQ(x1.size(), 32u);
+    for (std::size_t i = 0; i < x0.size(); ++i) {
+      EXPECT_EQ(x0[i].as_number(), x1[i].as_number()) << "rhs " << k << " component " << i;
+    }
+  }
+  for (const auto& status : statuses) {
+    EXPECT_TRUE(status.at("result").at("all_converged").as_bool());
+    EXPECT_GT(status.at("result").at("dist").at("bytes_moved").as_uint(), kCap);
   }
   for (auto& daemon : daemons) daemon->drain(5000ms);
 }

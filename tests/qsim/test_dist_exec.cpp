@@ -1,10 +1,11 @@
 // Distributed statevector execution vs single-node panel replay: the
 // exchange plan's classification and scheduling (exact-diagonal demotion,
 // X-conjugation elimination, naive vs scheduled round counts), and W-shard
-// replay through LocalPeerGroup reproducing a one-lane StatePanel replay
-// of the same compiled program — exactly, in double and float, including
-// the QSVT-shaped stream whose closing H fuses into a dense op with two
-// partition-qubit targets.
+// replay through LocalPeerGroup — each shard a StatePanel over the local
+// qubits — reproducing a single-node StatePanel replay of the same
+// compiled program at the same lane width, exactly, in double, float and
+// half, including the QSVT-shaped stream whose closing H fuses into a
+// dense op with two partition-qubit targets.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +18,6 @@
 #include "qsim/circuit.hpp"
 #include "qsim/exec/compile.hpp"
 #include "qsim/exec/dist/dist_executor.hpp"
-#include "qsim/exec/dist/dist_state.hpp"
 #include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
 #include "qsim/exec/panel.hpp"
@@ -145,9 +145,60 @@ qsim::Circuit random_circuit(Xoshiro256& rng, std::uint32_t n, std::size_t gates
   return c;
 }
 
-// Replay `ir` on W shards (threads over a LocalPeerGroup) and on a
-// one-lane StatePanel, from the same initial state. With tol == 0 every
-// global amplitude must match exactly — guaranteed whenever the plan's
+/// Lane l of a test panel: `init` cyclically shifted by l amplitudes, so
+/// every lane holds a distinct normalized state.
+std::complex<double> lane_amp(const std::vector<std::complex<double>>& init, std::uint64_t g,
+                              std::size_t lane) {
+  return init[(g + lane) % init.size()];
+}
+
+/// Replay `plan` on every shard, one thread per rank over a LocalPeerGroup.
+template <typename T>
+void run_shards(const dist::ExchangePlan& plan, std::vector<StatePanel<T>>& shards,
+                std::vector<dist::DistRunMetrics>* metrics = nullptr) {
+  const auto world = static_cast<std::uint32_t>(shards.size());
+  dist::LocalPeerGroup group(world);
+  std::vector<std::thread> threads;
+  std::vector<std::exception_ptr> errors(world);
+  for (std::uint32_t r = 0; r < world; ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        const auto rp = dist::specialize_rank<T>(plan, r);
+        auto channel = group.channel(r);
+        std::uint64_t seq = 0;
+        dist::run_rank_program<T>(rp, shards[r], *channel, seq,
+                                  metrics ? &(*metrics)[r] : nullptr);
+      } catch (...) {
+        errors[r] = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::uint32_t r = 0; r < world; ++r) {
+    if (errors[r]) std::rethrow_exception(errors[r]);
+  }
+}
+
+/// W StatePanel shards of `lanes` lanes, loaded with the lane_amp states.
+template <typename T>
+std::vector<StatePanel<T>> make_shards(std::uint32_t local_qubits, std::uint32_t world,
+                                       std::size_t lanes,
+                                       const std::vector<std::complex<double>>& init) {
+  std::vector<StatePanel<T>> shards;
+  for (std::uint32_t r = 0; r < world; ++r) {
+    shards.emplace_back(local_qubits, lanes);
+    const std::uint64_t base = std::uint64_t{r} << local_qubits;
+    for (std::size_t i = 0; i < shards[r].dim(); ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) shards[r].set_amp(i, l, lane_amp(init, base + i, l));
+    }
+  }
+  return shards;
+}
+
+// Replay `ir` on W StatePanel shards and on a single-node StatePanel of
+// the same lane width, from the same initial lanes, at widths 1, 2, 3 (the
+// runtime-width kernels), 8 and 16. With tol == 0 every global amplitude
+// of every lane must match exactly — guaranteed whenever the plan's
 // scheduling passes changed no op's kernel class (demoted_diagonal and
 // conjugated_ops both zero; see exchange_plan.hpp). When a rewrite fires
 // the values are equal but the multiply routes through a different kernel
@@ -161,50 +212,31 @@ void expect_dist_matches_panel(const FusedIr& ir, std::uint32_t world_log2,
   const auto plan = dist::build_exchange_plan(ir, world_log2, popts);
   const std::uint32_t world = 1u << world_log2;
 
-  StatePanel<T> panel(n, 1);
-  for (std::size_t i = 0; i < init.size(); ++i) panel.set_amp(i, 0, init[i]);
-  PanelExecutor<T>().run(specialize<T>(ir), panel);
-
-  dist::LocalPeerGroup group(world);
-  std::vector<dist::DistState<T>> shards;
-  shards.reserve(world);
-  for (std::uint32_t r = 0; r < world; ++r) {
-    shards.emplace_back(n, world_log2, r);
-    auto& st = shards.back();
-    const std::uint64_t base = st.base_index();
-    for (std::size_t i = 0; i < st.dim(); ++i) {
-      st.re()[i] = static_cast<T>(init[base + i].real());
-      st.im()[i] = static_cast<T>(init[base + i].imag());
+  for (const std::size_t lanes : {1, 2, 3, 8, 16}) {
+    StatePanel<T> panel(n, lanes);
+    for (std::size_t i = 0; i < init.size(); ++i) {
+      for (std::size_t l = 0; l < lanes; ++l) panel.set_amp(i, l, lane_amp(init, i, l));
     }
-  }
+    PanelExecutor<T>().run(specialize<T>(ir), panel);
 
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(world);
-  for (std::uint32_t r = 0; r < world; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        const auto rp = dist::specialize_rank<T>(plan, r);
-        auto channel = group.channel(r);
-        std::uint64_t seq = 0;
-        dist::run_rank_program<T>(rp, shards[r], *channel, seq);
-      } catch (...) {
-        errors[r] = std::current_exception();
+    auto shards = make_shards<T>(plan.local_qubits, world, lanes, init);
+    run_shards(plan, shards);
+
+    const std::uint64_t local_mask = (std::uint64_t{1} << plan.local_qubits) - 1;
+    for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const auto got = shards[g >> plan.local_qubits].amp(g & local_mask, l);
+        const auto want = panel.amp(g, l);
+        if (tol == 0.0) {
+          EXPECT_EQ(got.real(), want.real())
+              << "amp " << g << " lane " << l << "/" << lanes << " W=" << world;
+          EXPECT_EQ(got.imag(), want.imag())
+              << "amp " << g << " lane " << l << "/" << lanes << " W=" << world;
+        } else {
+          EXPECT_NEAR(std::abs(got - want), 0.0, tol)
+              << "amp " << g << " lane " << l << "/" << lanes << " W=" << world;
+        }
       }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (std::uint32_t r = 0; r < world; ++r) {
-    if (errors[r]) std::rethrow_exception(errors[r]);
-  }
-
-  for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
-    const auto got = shards[g >> plan.local_qubits].amp_global(g);
-    const auto want = panel.amp(g, 0);
-    if (tol == 0.0) {
-      EXPECT_EQ(got.real(), want.real()) << "amp " << g << " W=" << world;
-      EXPECT_EQ(got.imag(), want.imag()) << "amp " << g << " W=" << world;
-    } else {
-      EXPECT_NEAR(std::abs(got - want), 0.0, tol) << "amp " << g << " W=" << world;
     }
   }
 }
@@ -328,71 +360,16 @@ TEST(DistExec, MetricsCountRoundsAndBytes) {
   const auto plan = dist::build_exchange_plan(ir, 2);
   const auto init = random_state(rng, 5);
 
-  dist::LocalPeerGroup group(4);
-  std::vector<dist::DistState<double>> shards;
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    shards.emplace_back(5, 2, r);
-    const std::uint64_t base = shards[r].base_index();
-    for (std::size_t i = 0; i < shards[r].dim(); ++i) {
-      shards[r].re()[i] = init[base + i].real();
-      shards[r].im()[i] = init[base + i].imag();
-    }
-  }
+  const std::size_t lanes = 3;
+  auto shards = make_shards<double>(plan.local_qubits, 4, lanes, init);
   std::vector<dist::DistRunMetrics> metrics(4);
-  std::vector<std::thread> threads;
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    threads.emplace_back([&, r] {
-      const auto rp = dist::specialize_rank<double>(plan, r);
-      auto channel = group.channel(r);
-      std::uint64_t seq = 0;
-      dist::run_rank_program<double>(rp, shards[r], *channel, seq, &metrics[r]);
-    });
-  }
-  for (auto& t : threads) t.join();
+  run_shards(plan, shards, &metrics);
   for (std::uint32_t r = 0; r < 4; ++r) {
     EXPECT_EQ(metrics[r].exchange_rounds, plan.stats.scheduled_rounds) << "rank " << r;
-    // Each pairwise round of an h=1 exchange ships both planes of the
-    // 2^3-amplitude shard once.
-    EXPECT_GE(metrics[r].bytes_moved, plan.stats.scheduled_rounds * 2 * 8 * sizeof(double));
-  }
-}
-
-TEST(DistState, ReductionsMatchPanel) {
-  Xoshiro256 rng(26);
-  const std::uint32_t n = 5;
-  const auto init = random_state(rng, n);
-  StatePanel<double> panel(n, 1);
-  for (std::size_t i = 0; i < init.size(); ++i) panel.set_amp(i, 0, init[i]);
-
-  std::vector<dist::DistState<double>> shards;
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    shards.emplace_back(n, 2, r);
-    const std::uint64_t base = shards[r].base_index();
-    for (std::size_t i = 0; i < shards[r].dim(); ++i) {
-      shards[r].re()[i] = init[base + i].real();
-      shards[r].im()[i] = init[base + i].imag();
-    }
-  }
-
-  const std::vector<std::uint32_t> zeros = {2, 3};
-  const std::vector<std::uint32_t> ones = {4};
-  const auto p_panel = panel.probability_match(zeros, ones)[0];
-  double p_dist = 0.0;
-  for (const auto& s : shards) p_dist += s.probability_match_partial(zeros, ones);
-  EXPECT_NEAR(p_dist, p_panel, 1e-15);
-
-  const auto norms = panel.lane_norms();
-  double nsq = 0.0;
-  for (const auto& s : shards) nsq += s.norm_squared_partial();
-  EXPECT_NEAR(std::sqrt(nsq), norms[0], 1e-13);
-
-  // postselect_scale with the global probability mirrors panel.postselect.
-  panel.postselect(zeros, ones);
-  for (auto& s : shards) s.postselect_scale(zeros, ones, p_dist);
-  for (std::uint64_t g = 0; g < (std::uint64_t{1} << n); ++g) {
-    const auto got = shards[g >> 3].amp_global(g);
-    const auto want = panel.amp(g, 0);
-    EXPECT_NEAR(std::abs(got - want), 0.0, 1e-15) << "amp " << g;
+    // Each pairwise round of an h=1 exchange ships both planes of every
+    // lane of the 2^3-amplitude shard once.
+    EXPECT_GE(metrics[r].bytes_moved,
+              plan.stats.scheduled_rounds * 2 * 8 * lanes * sizeof(double));
   }
 }
 

@@ -3,10 +3,11 @@
 // injected via ServiceOptions::shard_channel) solve the same request
 // concurrently and must return identical reports on every rank, agree
 // bitwise across world sizes, and match the single-node service within
-// the one-lane rounding tolerance. Also the memory-wall contract: a
-// qubit-capped service rejects a too-wide single-node job but admits the
-// same job as a member of a large enough shard group, and the dist
-// telemetry (result fields + Stats::dist) is populated.
+// the rounding between one-lane and multi-lane panels. Also the
+// memory-wall contract: a qubit-capped service rejects a too-wide
+// single-node job but admits the same job as a member of a large enough
+// shard group, and the dist telemetry (result fields, Stats::dist, panel
+// counts) is populated.
 #include "service/solver_service.hpp"
 
 #include <gtest/gtest.h>
@@ -121,10 +122,11 @@ TEST(DistService, ShardGroupsMatchSingleNodeAcrossWorldSizes) {
   for (std::uint32_t r = 1; r < 4; ++r) {
     expect_results_identical(four[0], four[r], "W=4 rank vs rank");
   }
-  // Both world sizes reduce to the same one-lane replay arithmetic.
+  // Both world sizes reduce to the same two-lane replay arithmetic.
   expect_results_identical(two[0], four[0], "W=2 vs W=4");
 
-  // And the single-node service agrees within the one-lane rounding.
+  // And the single-node service (one-lane panels at panel_width 1) agrees
+  // with the two-lane sweeps within rounding.
   ASSERT_EQ(two[0].solves.size(), want.solves.size());
   EXPECT_TRUE(two[0].all_converged);
   for (std::size_t k = 0; k < want.solves.size(); ++k) {
@@ -144,6 +146,20 @@ TEST(DistService, ShardGroupsMatchSingleNodeAcrossWorldSizes) {
     EXPECT_GT(four[r].dist_exchange_rounds, 0u);
     EXPECT_GT(four[r].dist_bytes_moved, 0u);
     EXPECT_LE(four[r].dist_plan_scheduled_rounds, four[r].dist_plan_naive_rounds);
+  }
+}
+
+TEST(DistService, DistSweepsCountAsPanels) {
+  // Each lane-solve is one lane of one shard sweep, so a dist job's panel
+  // lanes equal its tier solves summed over every report.
+  const auto results = solve_group(dist_request(8, 4, 46), 2);
+  for (const auto& result : results) {
+    EXPECT_GT(result.panels_executed, 0u);
+    std::uint64_t lane_solves = 0;
+    for (const auto& s : result.solves) {
+      for (const auto n : s.report.tier_solves) lane_solves += n;
+    }
+    EXPECT_EQ(result.panel_lanes, lane_solves);
   }
 }
 

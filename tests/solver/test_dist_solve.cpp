@@ -2,10 +2,11 @@
 // loop: W ranks each run solve_qsvt_ir_batch against the shared context
 // with a DistSolveSession wired in, exchanging amplitudes over a
 // LocalPeerGroup. Every rank must produce the identical report (the
-// lockstep contract the adaptive schedule relies on), 2- and 4-shard
-// results must agree bitwise with each other (both reduce to the same
-// one-lane replay arithmetic), and all must match the single-node solver
-// within rounding tolerance.
+// lockstep contract the adaptive schedule relies on), and a shard group's
+// batch must equal the single-node batch of the same lanes bit for bit at
+// every tier: each shard is a StatePanel of the batch's width, replayed
+// through the same kernels, postselected and read out through the same
+// per-lane epilogue.
 #include "solver/qsvt_ir.hpp"
 
 #include <gtest/gtest.h>
@@ -108,6 +109,38 @@ TEST(DistSolve, DoubleTierShardsAgreeBitwiseAcrossWorldSizes) {
   EXPECT_EQ(two[0][0].iterations, want.iterations);
   for (std::size_t i = 0; i < want.x.size(); ++i) {
     EXPECT_NEAR(two[0][0].x[i], want.x[i], 1e-9) << "component " << i;
+  }
+}
+
+TEST(DistSolve, ShardGroupMatchesSingleNodeBatchBitwise) {
+  Xoshiro256 rng(74);
+  const auto A = linalg::random_with_cond(rng, 16, 10.0);
+  std::vector<linalg::Vector<double>> bs;
+  for (int k = 0; k < 5; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
+
+  for (const auto precision : {qsvt::QpuPrecision::kDouble, qsvt::QpuPrecision::kAdaptive}) {
+    auto options = base_options();
+    options.qsvt.precision = precision;
+    // The default fused program: no exchange-plan rewrite fires.
+    const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+    BatchSolveStats single_stats;
+    const auto want =
+        solve_qsvt_ir_batch(ctx, std::span<const linalg::Vector<double>>(bs), options,
+                            &single_stats);
+    EXPECT_GT(single_stats.panels_executed, 0u);
+
+    for (const std::uint32_t world_log2 : {1u, 2u}) {
+      const auto per_rank = solve_distributed(ctx, bs, options, world_log2);
+      for (std::uint32_t r = 0; r < per_rank.size(); ++r) {
+        ASSERT_EQ(per_rank[r].size(), want.size());
+        for (std::size_t l = 0; l < want.size(); ++l) {
+          expect_reports_identical(per_rank[r][l], want[l],
+                                   precision == qsvt::QpuPrecision::kDouble
+                                       ? "double: dist vs single-node batch"
+                                       : "adaptive: dist vs single-node batch");
+        }
+      }
+    }
   }
 }
 
