@@ -2,12 +2,12 @@
 // acceptance benchmark for the precision-escalation schedule: the same
 // batch of right-hand sides solved end-to-end (Algorithm 2, lockstep
 // panels) once with every QSVT replay in double and once under the
-// adaptive schedule (first solve on the half program, the single program
-// carrying the middle of the trajectory, double only on stall, dd128
-// verification of the final residual). The half and single replays cost
-// roughly half a double replay and — per the paper's Remark 2 — the
-// normalized residual solves contract at the double tier's rate, so the
-// schedule wins end-to-end wall clock at equal final accuracy.
+// adaptive schedule (every solve on the single program, double only on
+// stall or below the single floor, dd128 verification of the final
+// residual). A single replay costs about half a double replay and — per
+// the paper's Remark 2 — the normalized residual solves contract at the
+// double tier's rate, so the schedule wins end-to-end wall clock at equal
+// final accuracy.
 // Acceptance: >= 1.3x on the primary workload in BOTH serial and OpenMP
 // modes, with the adaptive residual within 2x of fixed-double's (or below
 // eps), every lane converged and dd128-verified.

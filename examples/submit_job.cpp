@@ -80,9 +80,10 @@ double scalar_metric(const std::string& text, const std::string& name) {
 void print_panel_status(const std::string& metrics_text) {
   double panels = scalar_metric(metrics_text, "mpqls_panels_executed_total");
   double lanes = scalar_metric(metrics_text, "mpqls_panel_lanes_total");
+  double room = scalar_metric(metrics_text, "mpqls_panel_lane_room_total");
   double width = scalar_metric(metrics_text, "mpqls_panel_width");
   if (std::isnan(panels)) {
-    panels = lanes = 0.0;
+    panels = lanes = room = 0.0;
     width = std::nan("");
     bool any = false;
     for (int w = 0;; ++w) {
@@ -93,6 +94,8 @@ void print_panel_status(const std::string& metrics_text) {
       panels += p;
       const double l = labeled_metric(metrics_text, "mpqls_panel_lanes_total", label);
       if (!std::isnan(l)) lanes += l;
+      const double r = labeled_metric(metrics_text, "mpqls_panel_lane_room_total", label);
+      if (!std::isnan(r)) room += r;
       if (std::isnan(width)) {
         width = labeled_metric(metrics_text, "mpqls_panel_width", label);
       }
@@ -101,7 +104,7 @@ void print_panel_status(const std::string& metrics_text) {
   }
   if (panels <= 0.0) return;
   std::printf("\npanel executor: width %.0f, %.0f panels, %.0f lanes", width, panels, lanes);
-  if (width > 0.0) std::printf(", mean occupancy %.2f", lanes / (panels * width));
+  if (room > 0.0) std::printf(", mean occupancy %.2f", lanes / room);
   std::printf("\n");
 }
 

@@ -598,12 +598,13 @@ std::string SolverDaemon::metrics_text() const {
             stats.panels_executed);
   m.counter("mpqls_panel_lanes_total", "RHS lanes carried by executed panels.",
             stats.panel_lanes_total);
+  m.counter("mpqls_panel_lane_room_total", "RHS lanes the executed panels had room for.",
+            stats.panel_lane_room_total);
   m.gauge("mpqls_panel_mean_lane_occupancy",
-          "Mean fraction of the configured panel width occupied per sweep.",
-          (stats.panels_executed > 0 && options_.service.panel_width > 0)
+          "Mean fraction of the lanes each sweep had room for that it carried.",
+          stats.panel_lane_room_total > 0
               ? static_cast<double>(stats.panel_lanes_total) /
-                    (static_cast<double>(stats.panels_executed) *
-                     static_cast<double>(options_.service.panel_width))
+                    static_cast<double>(stats.panel_lane_room_total)
               : 0.0);
 
   // Per-precision-tier execution telemetry (the adaptive-precision

@@ -188,13 +188,59 @@ Program<T> compile(const Circuit& circuit, const CompileOptions& options = {}) {
   return program;
 }
 
+/// One precision-templated artifact (Program<T>, RankProgram<T>) at each
+/// execution tier — f16, float, double — each built at most once, on first
+/// request (std::call_once per tier), then shared read-only. Thread-safe.
+template <template <typename> class P>
+class LazyTiers {
+ public:
+  /// The tier-T artifact, built by `make()` on first request. `built` is
+  /// set when this call built it.
+  template <typename T, typename Make>
+  const P<T>& get(Make&& make, bool* built = nullptr) const {
+    Tier<T>& tier = slot<T>();
+    std::call_once(tier.once, [&] {
+      tier.value = make();
+      built_.fetch_add(1, std::memory_order_relaxed);
+      if (built) *built = true;
+    });
+    return tier.value;
+  }
+
+  /// How many tiers have been built so far.
+  std::uint64_t built() const { return built_.load(std::memory_order_relaxed); }
+
+ private:
+  template <typename T>
+  struct Tier {
+    std::once_flag once;
+    P<T> value;
+  };
+  template <typename T>
+  Tier<T>& slot() const {
+    if constexpr (std::is_same_v<T, f16>) {
+      return f16_;
+    } else if constexpr (std::is_same_v<T, float>) {
+      return f32_;
+    } else {
+      static_assert(std::is_same_v<T, double>, "unsupported program precision");
+      return f64_;
+    }
+  }
+
+  mutable Tier<f16> f16_;
+  mutable Tier<float> f32_;
+  mutable Tier<double> f64_;
+  mutable std::atomic<std::uint64_t> built_{0};
+};
+
 /// All precision specializations of one `FusedIr`. The expensive passes
 /// (lower + fuse) run exactly once, up front; each `Program<T>` is
 /// specialized lazily on first request and cached for the lifetime of the
 /// set, so the adaptive solver can hop between precision tiers without ever
-/// recompiling. Thread-safe: `get<T>()` may race from many solve threads
-/// (std::call_once per tier), which is what lets a shared-const
-/// `QsvtSolverContext` hand out programs on demand.
+/// recompiling. Thread-safe: `get<T>()` may race from many solve threads,
+/// which is what lets a shared-const `QsvtSolverContext` hand out programs
+/// on demand.
 class ProgramSet {
  public:
   explicit ProgramSet(FusedIr ir) : ir_(std::move(ir)) {}
@@ -204,38 +250,21 @@ class ProgramSet {
   /// Lazily specialize (once) and return the tier-T program.
   template <typename T>
   const Program<T>& get() const {
-    if constexpr (std::is_same_v<T, f16>) {
-      return materialize(once_f16_, f16_);
-    } else if constexpr (std::is_same_v<T, float>) {
-      return materialize(once_f32_, f32_);
-    } else {
-      static_assert(std::is_same_v<T, double>, "unsupported program precision");
-      return materialize(once_f64_, f64_);
-    }
+    return tiers_.template get<T>([this] {
+      Timer timer;
+      Program<T> program = specialize<T>(ir_);
+      program.stats.compile_seconds = ir_.stats.compile_seconds + timer.seconds();
+      return program;
+    });
   }
 
   /// How many tiers have been specialized so far (test seam for the
   /// no-recompilation contract: repeated get<T>() must not move this).
-  std::uint64_t specializations() const { return specializations_.load(std::memory_order_relaxed); }
+  std::uint64_t specializations() const { return tiers_.built(); }
 
  private:
-  template <typename T>
-  const Program<T>& materialize(std::once_flag& once, Program<T>& slot) const {
-    std::call_once(once, [&] {
-      Timer timer;
-      slot = specialize<T>(ir_);
-      slot.stats.compile_seconds = ir_.stats.compile_seconds + timer.seconds();
-      specializations_.fetch_add(1, std::memory_order_relaxed);
-    });
-    return slot;
-  }
-
   FusedIr ir_;
-  mutable std::once_flag once_f16_, once_f32_, once_f64_;
-  mutable Program<f16> f16_;
-  mutable Program<float> f32_;
-  mutable Program<double> f64_;
-  mutable std::atomic<std::uint64_t> specializations_{0};
+  LazyTiers<Program> tiers_;
 };
 
 }  // namespace mpqls::qsim::exec

@@ -54,9 +54,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qsim/exec/compile.hpp"
@@ -182,5 +186,70 @@ RankProgram<T> specialize_rank(const ExchangePlan& plan, std::uint32_t rank) {
   }
   return out;
 }
+
+/// One rank's exchange plan and its per-tier rank programs: the plan is
+/// built up front, each RankProgram<T> is specialized lazily on first
+/// request (LazyTiers, as in ProgramSet) and then shared
+/// read-only by every dist job that runs this (world, rank) slice.
+class RankProgramSet {
+ public:
+  RankProgramSet(const FusedIr& ir, std::uint32_t world_log2, std::uint32_t rank)
+      : plan_(build_exchange_plan(ir, world_log2)), rank_(rank) {}
+
+  const ExchangePlan& plan() const { return plan_; }
+
+  /// Lazily specialize (once) and return the tier-T rank program. `built`
+  /// is set when this call did the specialization.
+  template <typename T>
+  const RankProgram<T>& get(bool* built = nullptr) const {
+    return tiers_.template get<T>([this] { return specialize_rank<T>(plan_, rank_); }, built);
+  }
+
+  /// How many tiers have been specialized so far (test seam).
+  std::uint64_t specializations() const { return tiers_.built(); }
+
+ private:
+  ExchangePlan plan_;
+  std::uint32_t rank_;
+  LazyTiers<RankProgram> tiers_;
+};
+
+/// The RankProgramSets of one compiled program, keyed by (world_log2,
+/// rank). It lives on the solver context next to its ProgramSet, so a
+/// warm dist job reuses the plan and rank programs an earlier job built,
+/// and evicting the context releases them. Thread-safe.
+class RankProgramCache {
+ public:
+  /// The set for (world_log2, rank) of `ir`, built on first request.
+  /// `built` is set when this call built it.
+  std::shared_ptr<const RankProgramSet> get(const FusedIr& ir, std::uint32_t world_log2,
+                                            std::uint32_t rank, bool* built = nullptr) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& entry = sets_[{world_log2, rank}];
+    if (!entry) {
+      entry = std::make_shared<const RankProgramSet>(ir, world_log2, rank);
+      if (built) *built = true;
+    }
+    return entry;
+  }
+
+  /// Exchange plans built so far, one per (world_log2, rank) (test seam).
+  std::uint64_t plans_built() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sets_.size();
+  }
+
+  /// Rank programs specialized so far, summed over every set (test seam).
+  std::uint64_t specializations() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::uint64_t total = 0;
+    for (const auto& [key, set] : sets_) total += set->specializations();
+    return total;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::shared_ptr<const RankProgramSet>> sets_;
+};
 
 }  // namespace mpqls::qsim::exec::dist

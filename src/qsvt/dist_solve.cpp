@@ -1,7 +1,6 @@
 #include "qsvt/dist_solve.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "linalg/blas.hpp"
@@ -25,27 +24,14 @@ void DistSolveSession::bind(const QsvtSolverContext& ctx) {
     return;
   }
   expects(ctx.options.backend == Backend::kGateLevel, "dist solve: gate-level contexts only");
-  expects(ctx.programs != nullptr, "dist solve: context has no compiled program");
+  expects(ctx.programs != nullptr && ctx.rank_programs != nullptr,
+          "dist solve: context has no compiled program");
   expects(ctx.options.noise.depolarizing_per_gate == 0.0 &&
               ctx.options.noise.damping_per_gate == 0.0,
           "dist solve: noise trajectories are single-node only");
-  plan_ = edist::build_exchange_plan(ctx.programs->ir(), config_.world_log2);
+  programs_ =
+      ctx.rank_programs->get(ctx.programs->ir(), config_.world_log2, config_.rank, &built_);
   bound_ = &ctx;
-}
-
-template <typename T>
-const edist::RankProgram<T>& DistSolveSession::rank_program() {
-  auto& slot = [this]() -> std::optional<edist::RankProgram<T>>& {
-    if constexpr (std::is_same_v<T, qsim::exec::f16>) {
-      return prog_half_;
-    } else if constexpr (std::is_same_v<T, float>) {
-      return prog_single_;
-    } else {
-      return prog_double_;
-    }
-  }();
-  if (!slot) slot = edist::specialize_rank<T>(*plan_, config_.rank);
-  return *slot;
 }
 
 namespace {
@@ -84,7 +70,8 @@ void DistSolveSession::sweep(const QsvtSolverContext& ctx,
   const QsvtCircuit& qc = *ctx.circuit;
   const std::size_t N = ctx.A.rows();
   const std::size_t B = rhs.size();
-  const std::uint32_t m = plan_->local_qubits;
+  const edist::ExchangePlan& plan = programs_->plan();
+  const std::uint32_t m = plan.local_qubits;
   const std::uint64_t base = std::uint64_t{config_.rank} << m;
 
   // Lane l holds this rank's slice of the normalized rhs l: global
@@ -104,7 +91,7 @@ void DistSolveSession::sweep(const QsvtSolverContext& ctx,
   }
 
   edist::DistRunMetrics metrics;
-  edist::run_rank_program<T>(rank_program<T>(), shard, *config_.channel, seq_, &metrics);
+  edist::run_rank_program<T>(programs_->get<T>(&built_), shard, *config_.channel, seq_, &metrics);
 
   // Postselect: BE ancillas and signal at |0>, real-part qubit at |1>.
   // The per-lane probability partials are allreduced so every rank scales
@@ -144,8 +131,8 @@ void DistSolveSession::sweep(const QsvtSolverContext& ctx,
   stats_.bytes_moved += metrics.bytes_moved;
   stats_.exchange_seconds += metrics.exchange_seconds;
   stats_.local_seconds += metrics.local_seconds;
-  stats_.plan_naive_rounds += plan_->stats.naive_rounds;
-  stats_.plan_scheduled_rounds += plan_->stats.scheduled_rounds;
+  stats_.plan_naive_rounds += plan.stats.naive_rounds;
+  stats_.plan_scheduled_rounds += plan.stats.scheduled_rounds;
 }
 
 std::vector<QsvtSolveOutcome> DistSolveSession::solve_directions(

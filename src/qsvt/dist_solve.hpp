@@ -20,16 +20,17 @@
 // the replay side).
 //
 // A session serves ONE job: it binds to the job's solver context on first
-// use, compiles the exchange plan once, specializes per-tier rank
-// programs lazily, and threads a single strictly-increasing exchange
-// sequence counter through every replay and allreduce. Calls must arrive
-// in the same order on every rank (the refinement loop guarantees this);
-// the session itself is not thread-safe.
+// use and takes this rank's exchange plan and per-tier rank programs from
+// the context's RankProgramCache — the first dist job on a (world, rank)
+// builds them, every later job on that context replays them as they are.
+// The session itself holds only job state: a single strictly-increasing
+// exchange sequence counter threaded through every replay and allreduce,
+// and its stats. Calls must arrive in the same order on every rank (the
+// refinement loop guarantees this); the session is not thread-safe.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -82,20 +83,20 @@ class DistSolveSession {
 
   const DistSolveStats& stats() const { return stats_; }
 
+  /// True when this session built the exchange plan or a tier's rank
+  /// program rather than finding it in the context's cache.
+  bool built_rank_programs() const { return built_; }
+
  private:
   template <typename T>
   void sweep(const QsvtSolverContext& ctx, std::span<const linalg::Vector<double>* const> rhs,
              QpuPrecision tier, std::vector<QsvtSolveOutcome>& out);
   void bind(const QsvtSolverContext& ctx);
-  template <typename T>
-  const qsim::exec::dist::RankProgram<T>& rank_program();
 
   DistConfig config_;
   const QsvtSolverContext* bound_ = nullptr;
-  std::optional<qsim::exec::dist::ExchangePlan> plan_;
-  std::optional<qsim::exec::dist::RankProgram<qsim::exec::f16>> prog_half_;
-  std::optional<qsim::exec::dist::RankProgram<float>> prog_single_;
-  std::optional<qsim::exec::dist::RankProgram<double>> prog_double_;
+  std::shared_ptr<const qsim::exec::dist::RankProgramSet> programs_;
+  bool built_ = false;
   std::uint64_t seq_ = 0;
   DistSolveStats stats_;
 };

@@ -13,6 +13,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/flops.hpp"
 #include "qsim/exec/compile.hpp"
+#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/panel.hpp"
 #include "qsim/exec/panel_executor.hpp"
 #include "qsim/statevector.hpp"
@@ -111,6 +112,7 @@ QsvtSolverContext prepare_qsvt_solver(linalg::Matrix<double> A, QsvtOptions opti
       auto ir = qsim::exec::lower_and_fuse(ctx.circuit->circuit);
       ir.stats.compile_seconds = timer.seconds();
       ctx.programs = std::make_shared<qsim::exec::ProgramSet>(std::move(ir));
+      ctx.rank_programs = std::make_shared<qsim::exec::dist::RankProgramCache>();
     }
     // Fixed-precision contexts specialize their one tier eagerly so the
     // cost lands in prepare (where the old per-precision compile lived);

@@ -34,6 +34,10 @@
 #include "qsp/symmetric_qsp.hpp"
 #include "qsvt/qsvt_circuit.hpp"
 
+namespace mpqls::qsim::exec::dist {
+class RankProgramCache;
+}
+
 namespace mpqls::qsvt {
 
 enum class Backend { kGateLevel, kMatrixFunction };
@@ -41,8 +45,9 @@ enum class Backend { kGateLevel, kMatrixFunction };
 /// values — append only). kHalf stores amplitudes in binary16 and computes
 /// in float (noise trajectories, which have no fp16 register, run it in
 /// float).
-/// kAdaptive is not a tier: the refinement loop starts cheap and escalates
-/// half -> single -> double per lane as the residual contracts.
+/// kAdaptive is not a tier: the refinement loop starts each lane on single
+/// and escalates it to double on a stall or at its floor (never half, which
+/// only fixed kHalf jobs run).
 enum class QpuPrecision { kSingle, kDouble, kHalf, kAdaptive };
 enum class PolyMethod { kInterpolated, kAnalytic };
 enum class EncodingKind {
@@ -95,6 +100,11 @@ struct QsvtSolverContext {
   /// Clean solves never re-interpret the gate list; only noise
   /// trajectories do.
   std::shared_ptr<qsim::exec::ProgramSet> programs;
+  /// The exchange plans and per-tier rank programs of `programs` for every
+  /// (world, rank) slice a dist job has run on this context, built once
+  /// and shared by later jobs (internally synchronized, like `programs`).
+  /// Null exactly when `programs` is.
+  std::shared_ptr<qsim::exec::dist::RankProgramCache> rank_programs;
   /// The execution backend registered as "reference" when the context was
   /// prepared (never null for gate-level contexts) and its per-context
   /// handle. The handle owns backend state scoped to this context and is

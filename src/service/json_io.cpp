@@ -118,7 +118,6 @@ Json options_to_json(const solver::QsvtIrOptions& o) {
   j["residual_precision"] = residual_precision_name(o.residual_precision);
   Json esc = Json::object();
   esc["stall_ratio"] = o.escalation.stall_ratio;
-  esc["half_floor"] = o.escalation.half_floor;
   esc["single_floor"] = o.escalation.single_floor;
   j["escalation"] = std::move(esc);
   j["qsvt"] = std::move(q);
@@ -136,7 +135,6 @@ solver::QsvtIrOptions options_from_json(const Json& j) {
   if (j.contains("escalation")) {
     const Json& esc = j.at("escalation");
     o.escalation.stall_ratio = esc.number_or("stall_ratio", o.escalation.stall_ratio);
-    o.escalation.half_floor = esc.number_or("half_floor", o.escalation.half_floor);
     o.escalation.single_floor = esc.number_or("single_floor", o.escalation.single_floor);
   }
   if (j.contains("qsvt")) {

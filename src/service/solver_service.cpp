@@ -124,8 +124,9 @@ SolveResult SolverService::solve(const SolveRequest& request) {
   const auto& qsvt_opts = options.qsvt;
   const bool noisy = qsvt_opts.noise.depolarizing_per_gate > 0.0 ||
                      qsvt_opts.noise.damping_per_gate > 0.0;
-  // Adaptive-precision jobs run most of their sweeps on the half/single
-  // tiers, whose lanes cost roughly half a double lane, so their panels
+  // Adaptive-precision jobs run most of their sweeps on the single tier,
+  // whose lanes cost about half a double lane (one 16-lane sweep of the
+  // n=64 program: 78 ms float against 148 ms double), so their panels
   // carry twice the configured width at the same per-sweep footprint.
   const std::size_t panel_width = qsvt_opts.precision == qsvt::QpuPrecision::kAdaptive
                                       ? options_.panel_width * 2
@@ -141,7 +142,11 @@ SolveResult SolverService::solve(const SolveRequest& request) {
   const SolveRequest& active = *req;  ///< what the queued tasks reference
   std::vector<std::future<GroupOutcome>> pending;
   std::shared_ptr<qsvt::dist::DistSolveSession> dist_session;
+  // Lanes each sweep of this job had room for: a dist sweep takes up to
+  // kMaxDistLanes, a panel group its panel width, a one-RHS task one.
+  std::uint64_t sweep_room = 1;
   if (active.shard.distributed()) {
+    sweep_room = qsvt::dist::kMaxDistLanes;
     // Distributed shard-group job: every rank of the group must issue the
     // identical sequence of exchanges, so the whole RHS batch runs as ONE
     // lockstep solve_qsvt_ir_batch on this thread — no panel chunking, no
@@ -173,6 +178,7 @@ SolveResult SolverService::solve(const SolveRequest& request) {
       if (dist_span) opts.trace_span = dist_span.id();
       auto reports = solver::solve_qsvt_ir_batch(
           *ctx, std::span<const linalg::Vector<double>>(active.rhs), opts, &out.stats);
+      dist_span.attr("rank_programs", dist_session->built_rank_programs() ? "built" : "cached");
       const double per_rhs_seconds = t.seconds() / static_cast<double>(reports.size());
       out.results.reserve(reports.size());
       for (auto& rep : reports) out.results.push_back({std::move(rep), per_rhs_seconds});
@@ -181,6 +187,7 @@ SolveResult SolverService::solve(const SolveRequest& request) {
       ready.set_exception(std::current_exception());
     }
   } else if (panelize) {
+    sweep_room = panel_width;
     for (std::size_t begin = 0; begin < active.rhs.size(); begin += panel_width) {
       const std::size_t count = std::min(panel_width, active.rhs.size() - begin);
       pending.push_back(solve_pool_.submit([ctx, &active, &options, begin, count] {
@@ -263,6 +270,7 @@ SolveResult SolverService::solve(const SolveRequest& request) {
     stats_.prepare_seconds_total += result.prepare_seconds;
     stats_.panels_executed += result.panels_executed;
     stats_.panel_lanes_total += result.panel_lanes;
+    stats_.panel_lane_room_total += result.panels_executed * sweep_room;
     for (const auto& s : result.solves) {
       for (int t = 0; t < 3; ++t) {
         stats_.tier_solves_total[t] += s.report.tier_solves[t];

@@ -185,10 +185,15 @@ class SolverService {
     double program_compile_seconds_total = 0.0;
     std::uint64_t program_ops_total = 0;
     /// Panel-execution telemetry: program sweeps that carried a panel of
-    /// RHS lanes, and how many lanes in total. Mean lane occupancy is
-    /// panel_lanes_total / (panels_executed * panel_width).
+    /// RHS lanes, how many lanes in total, and how many lanes those sweeps
+    /// had room for — the effective panel width of a panelized job (twice
+    /// the configured one for adaptive jobs), kMaxDistLanes for a dist
+    /// sweep, 1 for a one-RHS task. Mean lane occupancy is
+    /// panel_lanes_total / panel_lane_room_total. Service-only: the room
+    /// is not part of SolveResult or the wire.
     std::uint64_t panels_executed = 0;
     std::uint64_t panel_lanes_total = 0;
+    std::uint64_t panel_lane_room_total = 0;
     /// Precision-tier telemetry, summed over every solved RHS report
     /// (indexed by solver::kTierHalf/kTierSingle/kTierDouble). Fixed-
     /// precision jobs land entirely in their one tier; adaptive jobs

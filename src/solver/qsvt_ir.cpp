@@ -108,28 +108,15 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
   const auto tier_name = [](int tier) -> std::string_view {
     return tier == kTierHalf ? "half" : tier == kTierSingle ? "single" : "double";
   };
-  const auto tier_floor = [&](int tier) {
-    return tier == kTierHalf     ? options.escalation.half_floor
-           : tier == kTierSingle ? options.escalation.single_floor
-                                 : 0.0;
-  };
   // Where the schedule starts. Fixed-precision contexts pin their tier for
   // the whole run (telemetry lands on it, no escalation). Adaptive starts
-  // at half on the clean compiled gate path; noise trajectories run on the
-  // interpreter, which has no fp16 register, so they start at single; the
-  // matrix-function backend does all arithmetic in double regardless, so
-  // adaptive is a no-op there.
+  // at single on the gate-level backend (compiled panels and noise
+  // trajectories alike) and escalates to double; the matrix-function
+  // backend does all arithmetic in double regardless, so adaptive is a
+  // no-op there.
   int initial_tier = kTierDouble;
   if (adaptive) {
-    const bool noisy = ctx.options.noise.depolarizing_per_gate > 0.0 ||
-                       ctx.options.noise.damping_per_gate > 0.0;
-    if (ctx.options.backend != qsvt::Backend::kGateLevel) {
-      initial_tier = kTierDouble;
-    } else if (noisy || !ctx.programs) {
-      initial_tier = kTierSingle;
-    } else {
-      initial_tier = kTierHalf;
-    }
+    if (ctx.options.backend == qsvt::Backend::kGateLevel) initial_tier = kTierSingle;
   } else {
     switch (ctx.options.precision) {
       case qsvt::QpuPrecision::kHalf: initial_tier = kTierHalf; break;
@@ -266,12 +253,11 @@ std::vector<QsvtIrReport> solve_qsvt_ir_batch(const qsvt::QsvtSolverContext& ctx
         lane.active = false;
         continue;
       }
-      if (adaptive) {
-        // Proactive floors: below a tier's floor its roundoff stops the
-        // contraction, so the next iteration runs one tier up.
-        while (lane.tier < kTierDouble && lane.omega <= tier_floor(lane.tier)) {
-          escalate(lane, lane.tier + 1);
-        }
+      if (adaptive && lane.tier == kTierSingle &&
+          lane.omega <= options.escalation.single_floor) {
+        // Proactive floor: below it single's roundoff stops the
+        // contraction, so the next iteration runs on double.
+        escalate(lane, kTierDouble);
       }
       roster.push_back(l);
     }

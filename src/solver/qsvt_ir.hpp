@@ -30,25 +30,22 @@ enum class ResidualPrecision {
 };
 
 /// When `qsvt.precision == kAdaptive`, how the refinement loop escalates a
-/// lane's tier (half -> single -> double). Two triggers, both per lane:
-///  * proactive floors — once the residual drops to a tier's floor the next
-///    iteration runs one tier up (the cheap tier has done all the work its
-///    roundoff lets it contribute; Remark 2 normalization is what makes the
-///    cheap iterations contract at full rate above the floor);
+/// lane from the single tier to double. Every adaptive gate-level lane
+/// starts on single: one single solve contracts the residual as far as a
+/// double solve does (Remark 2 normalization absorbs its roundoff), while
+/// a half solve contracts about 100x less and costs more per lane, so
+/// adaptive never runs half (fixed `kHalf` jobs still do). Two triggers,
+/// both per lane:
+///  * proactive floor — once the residual drops to `single_floor` the next
+///    iteration runs on double;
 ///  * stall — an iteration that contracts by less than `stall_ratio`
-///    escalates immediately (catches whatever the static floors miss).
+///    escalates immediately (catches whatever the static floor misses).
 /// Escalation is monotone; the double tier keeps the fixed-precision
-/// stagnation rule (deactivate when the residual stops improving).
-/// Default floors come from the measured tier behavior: the half tier's
-/// ~2^-11 amplitude rounding caps its contraction near 1e-2 per iteration,
-/// so it only pays for the large-residual solves (floor 3e-2 ≈ first solve
-/// plus change); the single tier contracts at the double tier's full rate
-/// arbitrarily deep — normalized residuals absorb its roundoff exactly as
-/// Remark 2 argues — so its floor sits below any practical eps and the
-/// stall trigger alone decides when double is really needed.
+/// stagnation rule (deactivate when the residual stops improving). The
+/// default floor sits below any practical eps, so the stall trigger alone
+/// decides when double is really needed.
 struct EscalationPolicy {
   double stall_ratio = 0.5;   ///< escalate when omega_new > stall_ratio * omega
-  double half_floor = 3e-2;   ///< leave the half tier at this scaled residual
   double single_floor = 1e-12;  ///< leave the single tier at this scaled residual
 };
 

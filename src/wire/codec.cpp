@@ -64,7 +64,7 @@ void write_options(WireWriter& w, const solver::QsvtIrOptions& o) {
       .u8(o.qsvt.qsp_options.enable_newton ? 1 : 0)
       .u8(o.qsvt.qsp_options.enable_lbfgs ? 1 : 0)
       .f64(o.escalation.stall_ratio)
-      .f64(o.escalation.half_floor)
+      .f64(0.0)  // reserved: the retired half_floor slot
       .f64(o.escalation.single_floor);
 }
 
@@ -97,7 +97,7 @@ solver::QsvtIrOptions read_options(WireReader& r) {
   s.enable_newton = checked_enum(r, 1, "bad enable_newton flag") != 0;
   s.enable_lbfgs = checked_enum(r, 1, "bad enable_lbfgs flag") != 0;
   o.escalation.stall_ratio = r.f64();
-  o.escalation.half_floor = r.f64();
+  (void)r.f64();  // reserved slot (half_floor before adaptive started at single)
   o.escalation.single_floor = r.f64();
   return o;
 }

@@ -183,15 +183,16 @@ TEST(SolverDaemon, ConcurrentJobsMatchSynchronousPathBitwise) {
 
 TEST(SolverDaemon, AdaptiveJobExportsPrecisionTierMetrics) {
   // A gate-level adaptive job reached purely through the HTTP front door
-  // (the JSON knob, not C++ options) must run the escalation schedule and
+  // (the JSON knobs, not C++ options) must run the escalation schedule and
   // surface it in /v1/metrics as the labeled mpqls_precision_* families.
-  // Matrix/seed match the service-level adaptive test, where the schedule
-  // provably visits the half and single tiers before converging.
+  // Single contracts to eps on this system without stalling, so the
+  // job's single_floor sits mid-trajectory to make every RHS climb to
+  // double.
   constexpr const char* kAdaptiveGateJob = R"({
     "id": "adaptive-gate",
     "matrix": {"scenario": "random", "n": 16, "kappa": 10, "seed": 601},
     "rhs": {"kind": "random", "count": 2, "seed": 24},
-    "options": {"eps": 1e-10,
+    "options": {"eps": 1e-10, "escalation": {"single_floor": 1e-6},
                 "qsvt": {"backend": "gate", "eps_l": 1e-2, "precision": "adaptive"}}
   })";
 
@@ -209,12 +210,12 @@ TEST(SolverDaemon, AdaptiveJobExportsPrecisionTierMetrics) {
     EXPECT_GE(tier_metric_value(text, "mpqls_precision_solves_total", tier), 0.0);
     EXPECT_GE(tier_metric_value(text, "mpqls_precision_iterations_total", tier), 0.0);
   }
-  // The schedule started low and escalated: cheap tiers did real work
-  // (half handles the initial solve, single the refinement rounds) and at
-  // least one switch per solve was counted.
-  EXPECT_GT(tier_metric_value(text, "mpqls_precision_solves_total", "half"), 0.0);
+  // The schedule started on single, never ran half, and escalated: single
+  // did real work, double finished it, and one switch per RHS was counted.
+  EXPECT_EQ(tier_metric_value(text, "mpqls_precision_solves_total", "half"), 0.0);
   EXPECT_GT(tier_metric_value(text, "mpqls_precision_solves_total", "single"), 0.0);
   EXPECT_GT(tier_metric_value(text, "mpqls_precision_iterations_total", "single"), 0.0);
+  EXPECT_GT(tier_metric_value(text, "mpqls_precision_solves_total", "double"), 0.0);
   EXPECT_GE(metric_value(text, "mpqls_precision_switches_total"), 2.0);  // 2 RHS
 
   daemon.drain(5000ms);

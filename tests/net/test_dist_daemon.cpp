@@ -160,6 +160,48 @@ TEST(DistDaemon, TwoWorkerGroupSolvesOverLoopbackHttp) {
   for (auto& daemon : daemons) daemon->drain(5000ms);
 }
 
+TEST(DistDaemon, LaneOccupancyDividesByTheRoomEachSweepHad) {
+  // A 4-RHS dist job sweeps 4 lanes in room for kMaxDistLanes; an
+  // adaptive 16-RHS job sweeps panels of twice the configured width. The
+  // gauge divides the lanes by that room, so it stays a fraction.
+  std::vector<std::unique_ptr<SolverDaemon>> daemons;
+  for (int i = 0; i < 2; ++i) {
+    daemons.push_back(std::make_unique<SolverDaemon>(worker_options()));
+    daemons.back()->start();
+  }
+  (void)run_shard_group(daemons, 8, 4);
+
+  HttpClient client("127.0.0.1", daemons[0]->port());
+  const auto response = client.post("/v1/jobs", R"({
+    "id": "adaptive-panels",
+    "matrix": {"scenario": "random", "n": 8, "kappa": 10, "seed": 79},
+    "rhs": {"kind": "random", "count": 16, "seed": 80},
+    "options": {"eps": 1e-10,
+                "qsvt": {"backend": "gate", "eps_l": 1e-2, "precision": "adaptive"}}
+  })");
+  ASSERT_EQ(response.status, 202) << response.body;
+  const auto status = poll_done(client, Json::parse(response.body).at("job_id").as_string());
+  EXPECT_EQ(status.at("state").as_string(), "done") << status.dump();
+
+  const auto stats = daemons[0]->service().stats();
+  ASSERT_GT(stats.panel_lane_room_total, 0u);
+  const double want = static_cast<double>(stats.panel_lanes_total) /
+                      static_cast<double>(stats.panel_lane_room_total);
+  const std::string text = daemons[0]->metrics_text();
+  const auto sample = [&text](const std::string& name) {
+    const auto at = text.find("\n" + name + " ");
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos ? -1.0 : std::stod(text.substr(at + name.size() + 2));
+  };
+  EXPECT_EQ(sample("mpqls_panel_lane_room_total"),
+            static_cast<double>(stats.panel_lane_room_total));
+  const double gauge = sample("mpqls_panel_mean_lane_occupancy");
+  EXPECT_GT(gauge, 0.0);
+  EXPECT_LE(gauge, 1.0);
+  EXPECT_NEAR(gauge, want, 1e-9 * want);
+  for (auto& daemon : daemons) daemon->drain(5000ms);
+}
+
 TEST(DistDaemon, QubitCapAnswers413UntilTheGroupIsLargeEnough) {
   // Four daemons capped at 5 local qubits. The n = 16 job embeds as 7
   // circuit qubits: a single-node submit must die at admission with 413,

@@ -7,7 +7,8 @@
 // memory-wall contract: a qubit-capped service rejects a too-wide
 // single-node job but admits the same job as a member of a large enough
 // shard group, and the dist telemetry (result fields, Stats::dist, panel
-// counts) is populated.
+// counts) is populated. Warm jobs reuse the rank programs cached on the
+// context, which evicting the context releases.
 #include "service/solver_service.hpp"
 
 #include <gtest/gtest.h>
@@ -20,8 +21,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "linalg/random_matrix.hpp"
+#include "qsim/exec/dist/exchange_plan.hpp"
 #include "qsim/exec/dist/peer_channel.hpp"
+#include "service/context_cache.hpp"
 
 namespace mpqls::service {
 namespace {
@@ -56,15 +60,23 @@ ServiceOptions rank_options(std::shared_ptr<dist::LocalPeerGroup> group,
   return o;
 }
 
-/// Solve `base` as a W-rank shard group (one service per rank, threads in
-/// lockstep over a LocalPeerGroup); returns every rank's result.
-std::vector<SolveResult> solve_group(const SolveRequest& base, std::uint32_t world,
-                                     std::size_t qubit_cap = 0) {
+std::vector<std::unique_ptr<SolverService>> make_ranks(std::uint32_t world,
+                                                       std::size_t qubit_cap = 0) {
   auto group = std::make_shared<dist::LocalPeerGroup>(world);
   std::vector<std::unique_ptr<SolverService>> services;
   for (std::uint32_t r = 0; r < world; ++r) {
     services.push_back(std::make_unique<SolverService>(rank_options(group, qubit_cap)));
   }
+  return services;
+}
+
+/// Solve `base` on every rank of `services` (threads in lockstep over
+/// their LocalPeerGroup), each rank recording into its own trace when
+/// `traces` is given; returns every rank's result.
+std::vector<SolveResult> solve_on(std::vector<std::unique_ptr<SolverService>>& services,
+                                  const SolveRequest& base,
+                                  const std::vector<trace::TraceContext>* traces = nullptr) {
+  const auto world = static_cast<std::uint32_t>(services.size());
   std::vector<SolveResult> results(world);
   std::vector<std::exception_ptr> errors(world);
   std::vector<std::thread> threads;
@@ -75,6 +87,7 @@ std::vector<SolveResult> solve_group(const SolveRequest& base, std::uint32_t wor
       req.shard.rank = r;
       req.shard.world = world;
       req.shard.peers.assign(world, "local");
+      if (traces) req.options.trace = (*traces)[r];
       try {
         results[r] = services[r]->solve(req);
       } catch (...) {
@@ -87,6 +100,13 @@ std::vector<SolveResult> solve_group(const SolveRequest& base, std::uint32_t wor
     if (e) std::rethrow_exception(e);
   }
   return results;
+}
+
+/// Solve `base` as a fresh W-rank shard group.
+std::vector<SolveResult> solve_group(const SolveRequest& base, std::uint32_t world,
+                                     std::size_t qubit_cap = 0) {
+  auto services = make_ranks(world, qubit_cap);
+  return solve_on(services, base);
 }
 
 void expect_results_identical(const SolveResult& a, const SolveResult& b, const char* what) {
@@ -161,6 +181,61 @@ TEST(DistService, DistSweepsCountAsPanels) {
     }
     EXPECT_EQ(result.panel_lanes, lane_solves);
   }
+}
+
+TEST(DistService, WarmJobsReuseRankProgramsAndSayBuiltOrCached) {
+  // The first job on each rank builds the exchange plan and rank programs
+  // on the cached context; the second finds them there. The dist_batch
+  // span says which, and the cached job's x is the first job's, bit for
+  // bit.
+  auto services = make_ranks(2);
+  auto base = dist_request(8, 3, 47);
+  base.options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+
+  std::vector<std::string> seen;
+  std::vector<std::vector<SolveResult>> jobs;
+  for (int job = 0; job < 2; ++job) {
+    const std::vector<trace::TraceContext> traces = {trace::make_trace(), trace::make_trace()};
+    jobs.push_back(solve_on(services, base, &traces));
+    for (const auto& t : traces) {
+      std::size_t dist_spans = 0;
+      for (const auto& span : t->snapshot()) {
+        if (span.name != "dist_batch") continue;
+        ++dist_spans;
+        seen.push_back(span.attrs);
+      }
+      EXPECT_EQ(dist_spans, 1u);
+    }
+  }
+  ASSERT_EQ(seen.size(), 4u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const char* want = i < 2 ? "rank_programs=built" : "rank_programs=cached";
+    EXPECT_NE(seen[i].find(want), std::string::npos) << seen[i];
+  }
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(jobs[1][r].cache_hit);
+    expect_results_identical(jobs[1][r], jobs[0][0], "cached vs first job");
+  }
+}
+
+TEST(DistService, EvictedContextReleasesItsRankPrograms) {
+  // The rank programs hang off the context, so the cache entry that owns
+  // the context is the only thing keeping them alive.
+  auto req = dist_request(8, 1, 48);
+  ContextCache cache(1);
+  auto ctx = cache.get_or_prepare(req.A, req.options.qsvt);
+  std::weak_ptr<qsim::exec::dist::RankProgramCache> weak_cache = ctx->rank_programs;
+  std::weak_ptr<const qsim::exec::dist::RankProgramSet> weak_set =
+      ctx->rank_programs->get(ctx->programs->ir(), 1, 0);
+  (void)weak_set.lock()->get<float>();
+  ctx.reset();
+  EXPECT_FALSE(weak_cache.expired());  // still cached
+
+  const auto other = dist_request(8, 1, 49);
+  (void)cache.get_or_prepare(other.A, other.options.qsvt);  // evicts the first
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(weak_cache.expired());
+  EXPECT_TRUE(weak_set.expired());
 }
 
 TEST(DistService, QubitCapRejectsSingleNodeButAdmitsShardGroup) {

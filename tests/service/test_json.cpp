@@ -214,7 +214,6 @@ TEST(JsonIo, AdaptivePrecisionKnobsRoundTrip) {
   req.rhs.push_back(linalg::random_unit_vector(rng, 4));
   req.options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
   req.options.escalation.stall_ratio = 0.25;
-  req.options.escalation.half_floor = 5e-3;
   req.options.escalation.single_floor = 2e-11;
 
   const auto text = to_json(req).dump(2);
@@ -223,7 +222,8 @@ TEST(JsonIo, AdaptivePrecisionKnobsRoundTrip) {
   const auto back = request_from_json(Json::parse(text));
   EXPECT_EQ(back.options.qsvt.precision, qsvt::QpuPrecision::kAdaptive);
   EXPECT_EQ(back.options.escalation.stall_ratio, req.options.escalation.stall_ratio);
-  EXPECT_EQ(back.options.escalation.half_floor, req.options.escalation.half_floor);
+  // Adaptive lanes start on single, so no half-tier floor is written.
+  EXPECT_EQ(text.find("half_floor"), std::string::npos);
   EXPECT_EQ(back.options.escalation.single_floor, req.options.escalation.single_floor);
 
   // The half tier travels by name too.
@@ -240,8 +240,20 @@ TEST(JsonIo, AdaptivePrecisionKnobsRoundTrip) {
   })"));
   const solver::EscalationPolicy defaults;
   EXPECT_EQ(legacy.options.escalation.stall_ratio, defaults.stall_ratio);
-  EXPECT_EQ(legacy.options.escalation.half_floor, defaults.half_floor);
   EXPECT_EQ(legacy.options.escalation.single_floor, defaults.single_floor);
+
+  // A request written for the half-first schedule still carries a
+  // "half_floor" key; it is read like any unknown key and ignored.
+  const auto with_half_floor = request_from_json(Json::parse(R"({
+    "id": "half-floor",
+    "matrix": {"scenario": "tridiagonal", "n": 4},
+    "rhs": {"kind": "point", "index": 0},
+    "options": {"eps": 1e-9, "qsvt": {"precision": "adaptive"},
+                "escalation": {"stall_ratio": 0.25, "half_floor": 5e-3,
+                               "single_floor": 2e-11}}
+  })"));
+  EXPECT_EQ(with_half_floor.options.escalation.stall_ratio, 0.25);
+  EXPECT_EQ(with_half_floor.options.escalation.single_floor, 2e-11);
 }
 
 TEST(JsonIo, ScenarioGeneratorsMatchLibrary) {

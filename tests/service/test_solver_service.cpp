@@ -270,14 +270,13 @@ TEST(SolverService, AdaptivePrecisionJobEndToEnd) {
     const auto& rep = s.report;
     EXPECT_LE(rep.scaled_residuals.back(), req.options.eps);
     EXPECT_TRUE(rep.dd128_verified);
-    EXPECT_GE(rep.precision_switches, 1u);
     half += rep.tier_solves[solver::kTierHalf];
     single += rep.tier_solves[solver::kTierSingle];
     dbl += rep.tier_solves[solver::kTierDouble];
     switches += rep.precision_switches;
   }
-  EXPECT_GT(half, 0u);    // the schedule started low
-  EXPECT_GT(single, 0u);  // and escalated through single
+  EXPECT_EQ(half, 0u);    // adaptive starts on single and never runs half
+  EXPECT_GT(single, 0u);
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.tier_solves_total[solver::kTierHalf], half);
@@ -291,6 +290,18 @@ TEST(SolverService, AdaptivePrecisionJobEndToEnd) {
   const auto after = service.stats();
   EXPECT_EQ(after.tier_solves_total[solver::kTierHalf], half);  // unchanged
   EXPECT_GT(after.tier_solves_total[solver::kTierDouble], dbl);
+
+  // A fixed "precision": "half" job still replays the f16 program.
+  auto fixed_half = make_request("fixed-half", 16, 2, 603);
+  fixed_half.options.qsvt.precision = qsvt::QpuPrecision::kHalf;
+  const auto half_result = service.solve(fixed_half);
+  std::uint64_t half_solves = 0;
+  for (const auto& s : half_result.solves) {
+    EXPECT_EQ(s.report.tier_solves[solver::kTierHalf], s.report.solves.size());
+    half_solves += s.report.solves.size();
+  }
+  EXPECT_GT(half_solves, 0u);
+  EXPECT_EQ(service.stats().tier_solves_total[solver::kTierHalf], half_solves);
 }
 
 TEST(SolverService, RejectsEmptyRequest) {

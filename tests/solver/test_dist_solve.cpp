@@ -34,13 +34,16 @@ QsvtIrOptions base_options() {
 
 /// Run the batch on W ranks over a LocalPeerGroup; returns every rank's
 /// reports (outer index = rank).
+/// `sessions`, when given, receives every rank's session.
 std::vector<std::vector<QsvtIrReport>> solve_distributed(
     const qsvt::QsvtSolverContext& ctx, const std::vector<linalg::Vector<double>>& bs,
-    const QsvtIrOptions& options, std::uint32_t world_log2) {
+    const QsvtIrOptions& options, std::uint32_t world_log2,
+    std::vector<std::shared_ptr<qsvt::dist::DistSolveSession>>* sessions = nullptr) {
   const std::uint32_t world = 1u << world_log2;
   qsim::exec::dist::LocalPeerGroup group(world);
   std::vector<std::vector<QsvtIrReport>> per_rank(world);
   std::vector<std::exception_ptr> errors(world);
+  if (sessions) sessions->assign(world, nullptr);
   std::vector<std::thread> threads;
   for (std::uint32_t r = 0; r < world; ++r) {
     threads.emplace_back([&, r] {
@@ -48,6 +51,7 @@ std::vector<std::vector<QsvtIrReport>> solve_distributed(
         QsvtIrOptions opts = options;
         opts.dist = std::make_shared<qsvt::dist::DistSolveSession>(
             qsvt::dist::DistConfig{r, world_log2, group.channel(r)});
+        if (sessions) (*sessions)[r] = opts.dist;
         per_rank[r] = solve_qsvt_ir_batch(
             ctx, std::span<const linalg::Vector<double>>(bs), opts);
       } catch (...) {
@@ -118,9 +122,14 @@ TEST(DistSolve, ShardGroupMatchesSingleNodeBatchBitwise) {
   std::vector<linalg::Vector<double>> bs;
   for (int k = 0; k < 5; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
 
-  for (const auto precision : {qsvt::QpuPrecision::kDouble, qsvt::QpuPrecision::kAdaptive}) {
+  // Fixed double, adaptive at its default policy (converges on single),
+  // and adaptive with a mid-trajectory floor (climbs single -> double).
+  for (const double single_floor : {-1.0, 1e-12, 1e-6}) {
     auto options = base_options();
+    const auto precision =
+        single_floor < 0.0 ? qsvt::QpuPrecision::kDouble : qsvt::QpuPrecision::kAdaptive;
     options.qsvt.precision = precision;
+    if (single_floor > 0.0) options.escalation.single_floor = single_floor;
     // The default fused program: no exchange-plan rewrite fires.
     const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
     BatchSolveStats single_stats;
@@ -163,10 +172,10 @@ TEST(DistSolve, AdaptiveRefinementRunsLockstepAcrossShards) {
     const auto& rep = per_rank[0][l];
     EXPECT_TRUE(rep.converged) << "lane " << l;
     EXPECT_LE(rep.scaled_residuals.back(), options.eps) << "lane " << l;
-    // The schedule really ran tiered on the shards: half solves happened
-    // and at least one escalation fired, exactly like single-node.
-    EXPECT_GT(rep.tier_solves[kTierHalf], 0u) << "lane " << l;
-    EXPECT_GE(rep.precision_switches, 1u) << "lane " << l;
+    // The schedule ran on the shards exactly like single-node: single
+    // solves, never a half solve, and a dd128-verified answer.
+    EXPECT_EQ(rep.tier_solves[kTierHalf], 0u) << "lane " << l;
+    EXPECT_GT(rep.tier_solves[kTierSingle], 0u) << "lane " << l;
     EXPECT_TRUE(rep.dd128_verified) << "lane " << l;
   }
 
@@ -217,6 +226,60 @@ TEST(DistSolve, SessionStatsCountExchangesAndScheduleWin) {
     // the production QSVT program.
     EXPECT_LT(s.plan_scheduled_rounds, s.plan_naive_rounds) << "rank " << r;
   }
+}
+
+/// Rank programs live on the context: the first dist job on a (world,
+/// rank) builds the plan and each tier it runs, later jobs replay them —
+/// sequential and concurrent jobs alike — and produce the bits the first,
+/// uncached job did.
+TEST(DistSolve, RankProgramsAreBuiltOncePerContext) {
+  Xoshiro256 rng(75);
+  const auto A = linalg::random_with_cond(rng, 16, 10.0);
+  std::vector<linalg::Vector<double>> bs;
+  for (int k = 0; k < 3; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
+  auto options = base_options();
+  options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  options.escalation.single_floor = 1e-6;  // run both the single and double tiers
+  const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
+  ASSERT_NE(ctx.rank_programs, nullptr);
+  EXPECT_EQ(ctx.rank_programs->plans_built(), 0u);
+
+  std::vector<std::shared_ptr<qsvt::dist::DistSolveSession>> sessions;
+  const auto first = solve_distributed(ctx, bs, options, 1, &sessions);
+  for (const auto& session : sessions) EXPECT_TRUE(session->built_rank_programs());
+  ASSERT_GT(first[0][0].tier_solves[kTierDouble], 0u);
+  // One plan per rank; single and double programs per rank; never f16.
+  EXPECT_EQ(ctx.rank_programs->plans_built(), 2u);
+  EXPECT_EQ(ctx.rank_programs->specializations(), 4u);
+
+  const auto second = solve_distributed(ctx, bs, options, 1, &sessions);
+  for (const auto& session : sessions) EXPECT_FALSE(session->built_rank_programs());
+  EXPECT_EQ(ctx.rank_programs->plans_built(), 2u);
+  EXPECT_EQ(ctx.rank_programs->specializations(), 4u);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    for (std::size_t l = 0; l < bs.size(); ++l) {
+      expect_reports_identical(second[r][l], first[0][l], "cached vs first job");
+    }
+  }
+
+  // Two groups at once share one rank's entry read-only; a new world
+  // size is a new slice and builds its own.
+  std::vector<std::vector<std::vector<QsvtIrReport>>> concurrent(2);
+  std::vector<std::thread> groups;
+  for (std::size_t g = 0; g < 2; ++g) {
+    groups.emplace_back([&, g] { concurrent[g] = solve_distributed(ctx, bs, options, 1); });
+  }
+  for (auto& t : groups) t.join();
+  EXPECT_EQ(ctx.rank_programs->plans_built(), 2u);
+  EXPECT_EQ(ctx.rank_programs->specializations(), 4u);
+  for (const auto& per_rank : concurrent) {
+    ASSERT_EQ(per_rank.size(), 2u);
+    for (std::size_t l = 0; l < bs.size(); ++l) {
+      expect_reports_identical(per_rank[1][l], first[0][l], "concurrent vs first job");
+    }
+  }
+  (void)solve_distributed(ctx, bs, options, 2);
+  EXPECT_EQ(ctx.rank_programs->plans_built(), 6u);
 }
 
 /// A session outlives one batch: refinement iterations across batches keep

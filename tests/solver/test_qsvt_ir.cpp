@@ -243,10 +243,10 @@ TEST(QsvtIrAdaptive, MatchesFixedDoubleAccuracyWellConditioned) {
   // Equal final accuracy: within 2x of fixed-double (or below target).
   EXPECT_LE(adaptive.scaled_residuals.back(),
             2.0 * std::fmax(fixed.scaled_residuals.back(), opts.eps));
-  // The schedule actually ran tiered: it started below double and
-  // escalated at least once, and the final residual was dd128-verified.
-  EXPECT_GT(adaptive.tier_solves[kTierHalf], 0u);
-  EXPECT_GE(adaptive.precision_switches, 1u);
+  // The schedule started on single, never ran half, and the final
+  // residual was dd128-verified.
+  EXPECT_EQ(adaptive.tier_solves[kTierHalf], 0u);
+  EXPECT_GT(adaptive.tier_solves[kTierSingle], 0u);
   EXPECT_TRUE(adaptive.dd128_verified);
   EXPECT_LE(adaptive.dd128_final_residual, 2.0 * opts.eps);
   // Tier accounting covers every solve exactly once.
@@ -281,33 +281,50 @@ TEST(QsvtIrAdaptive, PolicyFloorsDriveTheSchedule) {
   auto opts = make_options(1e-11, 1e-2);
   opts.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
 
-  // A floor above any residual escalates straight through to double after
-  // the first solve: one half solve, no single solves, two switches.
-  opts.escalation.half_floor = 1e300;
+  // A floor above any residual escalates to double after the first solve:
+  // one single solve, no half solves, one switch.
   opts.escalation.single_floor = 1e300;
   const auto eager = solve_qsvt_ir(A, b, opts);
   EXPECT_TRUE(eager.converged);
-  EXPECT_EQ(eager.tier_solves[kTierHalf], 1u);
-  EXPECT_EQ(eager.tier_solves[kTierSingle], 0u);
+  EXPECT_EQ(eager.tier_solves[kTierHalf], 0u);
+  EXPECT_EQ(eager.tier_solves[kTierSingle], 1u);
   EXPECT_GT(eager.tier_solves[kTierDouble], 0u);
-  EXPECT_EQ(eager.precision_switches, 2u);
+  EXPECT_EQ(eager.precision_switches, 1u);
 
-  // Floors at zero and a stall ratio nothing exceeds pin the lane to the
-  // half tier: the proactive and stall triggers must both stay silent, so
-  // every solve runs on the half program. (At this tiny, well-conditioned
-  // system the half tier's roundoff is benign enough to keep contracting —
-  // whether it converges is the system's business; the policy's is that
-  // no escalation ever fires.)
-  opts.escalation.half_floor = 0.0;
+  // A floor at zero and a stall ratio nothing exceeds pin the lane to the
+  // single tier: the proactive and stall triggers must both stay silent.
   opts.escalation.single_floor = 0.0;
   opts.escalation.stall_ratio = 1e300;
   opts.max_iterations = 6;
   const auto pinned = solve_qsvt_ir(A, b, opts);
   EXPECT_EQ(pinned.precision_switches, 0u);
+  EXPECT_EQ(pinned.tier_solves[kTierHalf], 0u);
+  EXPECT_EQ(pinned.tier_solves[kTierDouble], 0u);
+  EXPECT_EQ(pinned.tier_solves[kTierSingle], pinned.solves.size());
+  if (pinned.converged) EXPECT_TRUE(pinned.dd128_verified);
+}
+
+TEST(QsvtIrAdaptive, FixedHalfJobReplaysTheHalfProgram) {
+  // Adaptive never runs half; a fixed "precision": "half" job still pins
+  // every solve to the f16 program. (At this tiny, well-conditioned system
+  // the half tier's roundoff is benign enough to keep contracting —
+  // whether it converges is the system's business; the schedule's is that
+  // no escalation ever fires.)
+  Xoshiro256 rng(62);
+  const auto A = linalg::random_with_cond(rng, 8, 5.0);
+  const auto b = linalg::random_unit_vector(rng, 8);
+  auto opts = make_options(1e-11, 1e-2);
+  opts.qsvt.precision = qsvt::QpuPrecision::kHalf;
+  opts.max_iterations = 6;
+  const auto ctx = qsvt::prepare_qsvt_solver(A, opts.qsvt);
+  EXPECT_EQ(ctx.programs->specializations(), 1u);  // f16, eagerly
+  const auto pinned = solve_qsvt_ir(ctx, b, opts);
+  EXPECT_EQ(pinned.precision_switches, 0u);
   EXPECT_EQ(pinned.tier_solves[kTierSingle], 0u);
   EXPECT_EQ(pinned.tier_solves[kTierDouble], 0u);
   EXPECT_EQ(pinned.tier_solves[kTierHalf], pinned.solves.size());
-  if (pinned.converged) EXPECT_TRUE(pinned.dd128_verified);
+  EXPECT_GT(pinned.solves.size(), 0u);
+  EXPECT_EQ(ctx.programs->specializations(), 1u);
 }
 
 TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
@@ -320,6 +337,10 @@ TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
   for (int k = 0; k < 6; ++k) bs.push_back(linalg::random_unit_vector(rng, 16));
   auto options = make_options(1e-11, 1e-2);
   options.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  // Single contracts to eps on this system without stalling, so a floor
+  // mid-trajectory is what makes every lane climb to double on its own
+  // residual.
+  options.escalation.single_floor = 1e-6;
   const auto ctx = qsvt::prepare_qsvt_solver(A, options.qsvt);
 
   BatchSolveStats stats;
@@ -333,6 +354,7 @@ TEST(QsvtIrAdaptive, BatchLanesEscalateIndependently) {
     EXPECT_LE(rep.scaled_residuals.back(), options.eps) << "lane " << k;
     EXPECT_TRUE(rep.dd128_verified) << "lane " << k;
     EXPECT_GE(rep.precision_switches, 1u) << "lane " << k;
+    EXPECT_EQ(rep.tier_solves[kTierHalf], 0u) << "lane " << k;
     EXPECT_EQ(rep.tier_solves[kTierHalf] + rep.tier_solves[kTierSingle] +
                   rep.tier_solves[kTierDouble],
               rep.solves.size())
@@ -365,11 +387,12 @@ TEST(QsvtIrAdaptive, ContextSpecializesLazilyAndOnce) {
   // until a tier actually executes.
   EXPECT_EQ(ctx.programs->specializations(), 0u);
 
+  // A lane that converges on single compiles single alone: f16 never.
   const auto first = solve_qsvt_ir(ctx, b, options);
   EXPECT_TRUE(first.converged);
+  ASSERT_EQ(first.tier_solves[kTierDouble], 0u);
   const auto after_first = ctx.programs->specializations();
-  EXPECT_GE(after_first, 2u);  // at least the half and single tiers ran
-  EXPECT_LE(after_first, 3u);
+  EXPECT_EQ(after_first, 1u);
 
   // Re-solving against the same context — same or different tier mix —
   // reuses the cached specializations: the counter must not move.
@@ -377,7 +400,7 @@ TEST(QsvtIrAdaptive, ContextSpecializesLazilyAndOnce) {
   EXPECT_TRUE(second.converged);
   EXPECT_EQ(ctx.programs->specializations(), after_first);
 
-  // Forcing the remaining tier explicitly compiles it exactly once.
+  // Forcing the remaining tiers explicitly compiles each exactly once.
   ctx.programs->get<double>();
   ctx.programs->get<double>();
   ctx.programs->get<float>();

@@ -59,7 +59,6 @@ service::SolveRequest sample_request(std::size_t n = 6, std::size_t n_rhs = 3) {
   o.qsvt.qsp_options.enable_newton = false;
   o.qsvt.qsp_options.enable_lbfgs = true;
   o.escalation.stall_ratio = 0.375;
-  o.escalation.half_floor = 4e-3;
   o.escalation.single_floor = 6e-11;
   // Nonzero client trace id: the wire-v3 trailing field rides every
   // round trip below, and the JSON parity check carries it too.
@@ -141,7 +140,6 @@ void expect_options_eq(const solver::QsvtIrOptions& a, const solver::QsvtIrOptio
   EXPECT_EQ(a.qsvt.qsp_options.enable_newton, b.qsvt.qsp_options.enable_newton);
   EXPECT_EQ(a.qsvt.qsp_options.enable_lbfgs, b.qsvt.qsp_options.enable_lbfgs);
   EXPECT_EQ(a.escalation.stall_ratio, b.escalation.stall_ratio);
-  EXPECT_EQ(a.escalation.half_floor, b.escalation.half_floor);
   EXPECT_EQ(a.escalation.single_floor, b.escalation.single_floor);
 }
 
@@ -494,6 +492,63 @@ TEST(WireTrace, V2FramesDecodeWithZeroTraceId) {
   std::string v4 = v3;
   v4[4] = 4;
   EXPECT_THROW(decode_request(v4), WireError);
+}
+
+// A request frame from the encoder that still wrote the adaptive schedule's
+// half_floor (wire v3, half_floor = 4e-3 in the second escalation slot,
+// the bytes fca9f1d24d62703f), captured before the field was retired.
+constexpr const char* kHalfFloorFrameHex =
+    "4d50514203010000f70000000000000006000000676f6c64656e000200000002"
+    "00000004000000000000000000000000000040000000000000f0bf0000000000"
+    "00f0bf000000000000004000030000010076830df4f521943e7b000000000000"
+    "0079e9263108ac7c3f0000000000404540cdccccccccccf03f00000000000000"
+    "00630000000000000000000000000000000000000000000000f4010000000000"
+    "001e00000000000000f401000000000000956479e17ffda53d48afbc9af2d77a"
+    "3e0101000000000000d83ffca9f1d24d62703f700b1be91f7ed03d0100000002"
+    "00000000000000000000000000f03f000000000000e03fefcdab896745230121"
+    "436587a9cbed0f";
+
+/// The request kHalfFloorFrameHex encodes, minus its half_floor.
+service::SolveRequest half_floor_frame_request() {
+  service::SolveRequest req;
+  req.id = "golden";
+  req.A = linalg::Matrix<double>(2, 2);
+  req.A(0, 0) = 2.0;
+  req.A(0, 1) = -1.0;
+  req.A(1, 0) = -1.0;
+  req.A(1, 1) = 2.0;
+  req.rhs.push_back(linalg::Vector<double>{1.0, 0.5});
+  auto& o = req.options;
+  o.eps = 3e-7;
+  o.max_iterations = 123;
+  o.qsvt.precision = qsvt::QpuPrecision::kAdaptive;
+  o.qsvt.eps_l = 7e-3;
+  o.qsvt.kappa = 42.5;
+  o.qsvt.seed = 99;
+  o.escalation.stall_ratio = 0.375;
+  o.escalation.single_floor = 6e-11;
+  req.trace_id = trace::TraceId{0x0123456789ABCDEFull, 0x0FEDCBA987654321ull};
+  return req;
+}
+
+TEST(WireRequest, GoldenHalfFloorFrameDecodes) {
+  const std::string_view hex = kHalfFloorFrameHex;
+  std::string golden;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    golden.push_back(static_cast<char>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  const auto want = half_floor_frame_request();
+  expect_request_eq(want, decode_request(golden));
+
+  // Today's encoder writes the same frame with the reserved slot zeroed.
+  const std::string fresh = encode_request(want);
+  ASSERT_EQ(fresh.size(), golden.size());
+  const std::string old_floor("\xfc\xa9\xf1\xd2\x4d\x62\x70\x3f", 8);  // 4e-3
+  const auto at = golden.find(old_floor);
+  ASSERT_NE(at, std::string::npos);
+  std::string zeroed = golden;
+  zeroed.replace(at, 8, std::string(8, '\0'));
+  EXPECT_EQ(fresh, zeroed);
 }
 
 // --- result codec ----------------------------------------------------------
